@@ -14,7 +14,12 @@ import json
 import math
 import sys
 
-from .errors import ConvergenceFailureError, ParseError, TwinWalkError
+from .errors import (
+    ConvergenceFailureError,
+    ParseError,
+    TwinWalkError,
+    WitnessFailedError,
+)
 from .families import verify_family
 from .graphs import list_twin_pairs
 from .identities import run_identity_checks
@@ -101,6 +106,8 @@ def _cmd_scan(args: argparse.Namespace) -> int:
         _emit(obj, args.out)
         return EXIT_OK if report.kind is not TransferKind.NONE else EXIT_NO_WITNESS
     epsilons = tuple(float(e) for e in args.epsilons.split(","))
+    if not all(map(math.isfinite, epsilons)):
+        raise ParseError("--epsilons must be finite numbers")
     witness = pgst_scan(G, a, b, args.q_max, epsilons)
     found = witness.achieved(epsilons[-1]) is not None
     obj = {
@@ -128,7 +135,7 @@ def _cmd_family(args: argparse.Namespace) -> int:
     fi = load_family(args.input)
     try:
         reports = verify_family(fi, args.tol, args.q_max)
-    except TwinWalkError as exc:
+    except WitnessFailedError as exc:
         _emit(
             {"provenance": fi.provenance, "all_passed": False, "error": str(exc)},
             args.out,
@@ -219,6 +226,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        for name, value in vars(args).items():
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ParseError(f"--{name.replace('_', '-')} must be a finite number")
         return args.func(args)
     except ConvergenceFailureError as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)

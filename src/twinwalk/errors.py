@@ -23,7 +23,7 @@ class DuplicateEdgeError(TwinWalkError, ValueError):
 
 
 class NonPositiveWeightError(TwinWalkError, ValueError):
-    """A base-graph edge weight is zero or negative."""
+    """A base-graph edge weight is zero, negative or not finite."""
 
 
 class EqualVerticesError(TwinWalkError, ValueError):
@@ -31,7 +31,7 @@ class EqualVerticesError(TwinWalkError, ValueError):
 
 
 class ConvergenceFailureError(TwinWalkError, ArithmeticError):
-    """The eigensolver did not reach its off-diagonal threshold."""
+    """The eigensolver got non-finite input or did not converge."""
 
 
 class TwinViolationError(TwinWalkError, ValueError):

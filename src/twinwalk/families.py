@@ -87,6 +87,15 @@ def _check_disjoint(pairs: list[tuple[int, int]]) -> None:
         seen.update((a, b))
 
 
+def _pair_witnesses(n: int, pairs: list[tuple[int, int]], t: float) -> tuple:
+    """LPST on every pair and PERIODIC at every vertex no pair touches."""
+    touched = {v for p in pairs for v in p}
+    lpst = [ExpectedWitness(TransferKind.LPST, a, b, t) for a, b in pairs]
+    periodic = [ExpectedWitness(TransferKind.PERIODIC, p, p, t)
+                for p in range(n) if p not in touched]
+    return tuple(lpst + periodic)
+
+
 def k4n_remove_matching(
     size: int, matching: list[tuple[int, int]]
 ) -> FamilyInstance:
@@ -107,16 +116,8 @@ def k4n_remove_matching(
             SizeNotMultipleOfFourWarning,
         )
         return FamilyInstance(G, (), "complete-minus-matching")
-    touched = {v for p in matching for v in p}
-    witnesses = [
-        ExpectedWitness(TransferKind.LPST, a, b, HALF_PI) for a, b in matching
-    ]
-    witnesses += [
-        ExpectedWitness(TransferKind.PERIODIC, p, p, HALF_PI)
-        for p in range(size)
-        if p not in touched
-    ]
-    return FamilyInstance(G, tuple(witnesses), "complete-minus-matching")
+    witnesses = _pair_witnesses(size, matching, HALF_PI)
+    return FamilyInstance(G, witnesses, "complete-minus-matching")
 
 
 def _quarter_alpha(current_weight: float) -> float:
@@ -137,19 +138,7 @@ def quarter_weight_edge(G: WeightedGraph, a: int, b: int) -> FamilyInstance:
     The pair must be twins. The perturbed graph transfers perfectly between
     a and b at 2 pi and stays periodic at every other vertex.
     """
-    if not is_integral_spectrum(eigendecompose(laplacian(G))):
-        raise NotIntegralError("graph is not Laplacian integral")
-    if not is_twin_pair(G, a, b):
-        raise NotTwinsError(f"({a},{b}) is not a twin pair")
-    alpha = _quarter_alpha(G.weight(a, b))
-    perturbed = perturb_edge(G, EdgePerturbation(a, b, alpha))
-    witnesses = [ExpectedWitness(TransferKind.LPST, a, b, TWO_PI)]
-    witnesses += [
-        ExpectedWitness(TransferKind.PERIODIC, p, p, TWO_PI)
-        for p in range(G.n)
-        if p not in (a, b)
-    ]
-    return FamilyInstance(perturbed, tuple(witnesses), "quarter-weight-edge")
+    return quarter_weight_family(G, [(a, b)])
 
 
 def quarter_weight_family(
@@ -169,16 +158,8 @@ def quarter_weight_family(
         if not is_twin_pair(G, a, b):
             raise NotTwinsError(f"({a},{b}) is not a twin pair")
         G = perturb_edge(G, EdgePerturbation(a, b, _quarter_alpha(G.weight(a, b))))
-    touched = {v for p in pairs for v in p}
-    witnesses = [
-        ExpectedWitness(TransferKind.LPST, a, b, TWO_PI) for a, b in pairs
-    ]
-    witnesses += [
-        ExpectedWitness(TransferKind.PERIODIC, p, p, TWO_PI)
-        for p in range(base.n)
-        if p not in touched
-    ]
-    return FamilyInstance(G, tuple(witnesses), "quarter-weight-edge")
+    witnesses = _pair_witnesses(base.n, pairs, TWO_PI)
+    return FamilyInstance(G, witnesses, "quarter-weight-edge")
 
 
 def circulant_twin_edge_family(

@@ -2,8 +2,8 @@
 
 A graph is stored as a vertex count plus a single triangle of nonzero edge
 weights keyed by (u, v) with u < v, so the adjacency and Laplacian matrices
-built from it are symmetric by construction. All values are immutable;
-perturbations return new graphs.
+built from it are symmetric by construction. Library functions never mutate
+a graph; perturbations return new graphs.
 """
 
 from __future__ import annotations
@@ -91,7 +91,7 @@ class EdgePerturbation:
 
 
 def build_graph(n: int, edge_list: list[tuple[int, int, float]]) -> WeightedGraph:
-    """Build a graph from (u, v, w) triples with positive weights.
+    """Build a graph from (u, v, w) triples with finite positive weights.
 
     Raises IndexOutOfRangeError, SelfLoopError, DuplicateEdgeError or
     NonPositiveWeightError on invalid input.
@@ -104,8 +104,10 @@ def build_graph(n: int, edge_list: list[tuple[int, int, float]]) -> WeightedGrap
         _check_vertex(n, v)
         if u == v:
             raise SelfLoopError(f"self loop at vertex {u}")
-        if w <= 0:
-            raise NonPositiveWeightError(f"edge ({u},{v}) has weight {w} <= 0")
+        if not 0 < w < np.inf:
+            raise NonPositiveWeightError(
+                f"edge ({u},{v}) has weight {w}; weights must be finite and positive"
+            )
         k = _key(u, v)
         if k in weights:
             raise DuplicateEdgeError(f"edge {k} listed twice")

@@ -1,17 +1,18 @@
-"""Symmetric eigendecomposition into spectral projectors, integrality tests,
+"""Symmetric eigendecomposition with clustered eigenvalues, integrality tests,
 and a series-based matrix exponential used as an independent oracle.
 
 The eigensolver is a cyclic Jacobi sweep: robust at the small dimensions this
 library targets (n <= 64) and guaranteed to produce orthogonal eigenvectors
-on symmetric input. Eigenvalues closer than a clustering tolerance are merged
-into a single distinct value whose projector is the sum of the rank-one
-projectors over the cluster, so degenerate eigenspaces are only ever handled
-through their (basis-independent) projector.
+on symmetric input. A read-only Spectrum keeps the sorted eigenbasis and
+merges eigenvalues closer than a clustering tolerance into one distinct value;
+projectors, transfer coefficients and propagators are derived from the basis
+here, so degenerate eigenspaces only enter through sums over their clusters.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -29,12 +30,41 @@ _ORACLE_TARGET_NORM = 0.5
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Distinct eigenvalues (ascending) with orthogonal spectral projectors."""
+    """Distinct eigenvalues (ascending) over an orthonormal eigenbasis whose
+    columns starts[j]:starts[j + 1] span the eigenspace of values[j]."""
 
-    n: int
-    values: np.ndarray            # shape (k,), ascending
-    projectors: list[np.ndarray]  # k symmetric n x n matrices
-    multiplicities: list[int]     # k positive ints summing to n
+    values: np.ndarray   # shape (k,), ascending cluster means
+    vectors: np.ndarray  # n x n, eigenvector columns sorted by eigenvalue
+    starts: np.ndarray   # shape (k,), first column of each cluster
+
+    def __post_init__(self) -> None:
+        for arr in (self.values, self.vectors, self.starts):
+            arr.flags.writeable = False
+
+    @property
+    def n(self) -> int:
+        return self.vectors.shape[0]
+
+    @property
+    def multiplicities(self) -> list[int]:
+        return np.diff(self.starts, append=self.n).tolist()
+
+    @cached_property
+    def projectors(self) -> tuple[np.ndarray, ...]:
+        """E_j = B_j B_j^T for the eigenvector block B_j of each cluster."""
+        out = tuple(B @ B.T for B in np.split(self.vectors, self.starts[1:], axis=1))
+        for E in out:
+            E.flags.writeable = False
+        return out
+
+    def coefficients(self, a: int, b: int) -> np.ndarray:
+        """E_j[b, a] for every cluster j, the weights of U(t)[b, a]."""
+        return np.add.reduceat(self.vectors[a] * self.vectors[b], self.starts)
+
+    def unitary(self, t: float) -> np.ndarray:
+        """exp(-i t L) = V diag(exp(-i mu t)) V^T."""
+        phases = np.repeat(np.exp(-1j * self.values * t), self.multiplicities)
+        return (self.vectors * phases) @ self.vectors.T
 
 
 def _offdiag_norm(A: np.ndarray) -> float:
@@ -42,7 +72,7 @@ def _offdiag_norm(A: np.ndarray) -> float:
     return float(np.sqrt((off * off).sum()))
 
 
-def _jacobi(L: np.ndarray, max_sweeps: int) -> tuple[np.ndarray, np.ndarray]:
+def _jacobi(L: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Cyclic Jacobi rotations. Returns (eigenvalues, eigenvector columns)."""
     A = np.array(L, dtype=float)
     n = A.shape[0]
@@ -51,7 +81,7 @@ def _jacobi(L: np.ndarray, max_sweeps: int) -> tuple[np.ndarray, np.ndarray]:
     threshold = _JACOBI_OFFDIAG_FACTOR * fro
     if _offdiag_norm(A) <= threshold:
         return np.diag(A).copy(), V
-    for _ in range(max_sweeps):
+    for _ in range(_JACOBI_MAX_SWEEPS):
         for p in range(n - 1):
             for q in range(p + 1, n):
                 apq = A[p, q]
@@ -83,43 +113,30 @@ def _jacobi(L: np.ndarray, max_sweeps: int) -> tuple[np.ndarray, np.ndarray]:
             return np.diag(A).copy(), V
     raise ConvergenceFailureError(
         f"off-diagonal norm {_offdiag_norm(A):.3e} above {threshold:.3e} "
-        f"after {max_sweeps} sweeps"
+        f"after {_JACOBI_MAX_SWEEPS} sweeps"
     )
 
 
 def eigendecompose(
-    L: np.ndarray,
-    cluster_tol: float = DEFAULT_CLUSTER_TOL,
-    max_sweeps: int = _JACOBI_MAX_SWEEPS,
+    L: np.ndarray, cluster_tol: float = DEFAULT_CLUSTER_TOL
 ) -> Spectrum:
-    """Decompose a symmetric matrix into distinct eigenvalues and projectors.
+    """Decompose a symmetric matrix into clusters of its eigenbasis.
 
-    Eigenvalues within cluster_tol * max(1, ||L||_F) of each other are merged
-    into one distinct value (their mean); the merged projector is the sum of
-    v v^T over the cluster's orthonormal eigenvectors.
+    Sorted eigenvalues with consecutive gaps within cluster_tol * max(1,
+    ||L||_F) form one cluster, whose distinct value is their mean.
     """
     if cluster_tol <= 0:
         raise ValueError("cluster_tol must be positive")
     L = np.asarray(L, dtype=float)
-    n = L.shape[0]
-    raw, V = _jacobi(L, max_sweeps)
+    if not np.isfinite(L).all():
+        raise ConvergenceFailureError("matrix has non-finite entries")
+    raw, V = _jacobi(L)
     order = np.argsort(raw)
     raw = raw[order]
-    V = V[:, order]
     gap = cluster_tol * max(1.0, float(np.sqrt((L * L).sum())))
-
-    values: list[float] = []
-    projectors: list[np.ndarray] = []
-    multiplicities: list[int] = []
-    start = 0
-    for i in range(1, n + 1):
-        if i == n or raw[i] - raw[i - 1] > gap:
-            block = V[:, start:i]
-            values.append(float(raw[start:i].mean()))
-            projectors.append(block @ block.T)
-            multiplicities.append(i - start)
-            start = i
-    return Spectrum(n, np.array(values), projectors, multiplicities)
+    starts = np.flatnonzero(np.diff(raw, prepend=-np.inf) > gap)
+    means = np.add.reduceat(raw, starts) / np.diff(starts, append=raw.size)
+    return Spectrum(means, V[:, order], starts)
 
 
 def is_integral_spectrum(s: Spectrum, int_tol: float = DEFAULT_INT_TOL) -> bool:

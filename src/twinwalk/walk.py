@@ -102,18 +102,14 @@ class PGSTWitness:
 
 def propagator(s: Spectrum, t: float) -> Propagator:
     """U(t) = sum_j exp(-i mu_j t) E_j."""
-    U = np.zeros((s.n, s.n), dtype=complex)
-    for mu, E in zip(s.values, s.projectors):
-        U += np.exp(-1j * mu * t) * E
-    return Propagator(t, U)
+    return Propagator(t, s.unitary(t))
 
 
 def transfer_amplitudes(
     s: Spectrum, a: int, b: int, times: np.ndarray
 ) -> np.ndarray:
     """Entry (b, a) of the propagator at each time, as one vectorized sweep."""
-    coeff = np.array([E[b, a] for E in s.projectors], dtype=complex)
-    return np.exp(-1j * np.outer(times, s.values)) @ coeff
+    return np.exp(-1j * np.outer(times, s.values)) @ s.coefficients(a, b)
 
 
 def phase_alignment(s: Spectrum, t: float) -> float:
@@ -169,6 +165,14 @@ def _spectrum_of(G: WeightedGraph) -> Spectrum:
     return eigendecompose(laplacian(G))
 
 
+def _verdict(s: Spectrum, a: int, b: int, t: float, tol: float) -> TransferReport:
+    """LPST (a != b) or PERIODIC (a == b) at fidelity >= 1 - tol, else NONE."""
+    mag, phase = fidelity(propagator(s, t), a, b)
+    hit = TransferKind.LPST if a != b else TransferKind.PERIODIC
+    kind = hit if mag >= 1.0 - tol else TransferKind.NONE
+    return TransferReport(kind, a, b, t, mag, phase, tol)
+
+
 def check_lpst(
     G: WeightedGraph, a: int, b: int, t: float, tol: float = DEFAULT_LPST_TOL
 ) -> TransferReport:
@@ -177,10 +181,7 @@ def check_lpst(
         raise EqualVerticesError("state transfer needs two distinct vertices")
     if tol <= 0:
         raise ValueError("tol must be positive")
-    U = propagator(_spectrum_of(G), t)
-    mag, phase = fidelity(U, a, b)
-    kind = TransferKind.LPST if mag >= 1.0 - tol else TransferKind.NONE
-    return TransferReport(kind, a, b, t, mag, phase, tol)
+    return _verdict(_spectrum_of(G), a, b, t, tol)
 
 
 def check_periodic(
@@ -189,10 +190,7 @@ def check_periodic(
     """Report whether the walk returns to vertex p at time t."""
     if tol <= 0:
         raise ValueError("tol must be positive")
-    U = propagator(_spectrum_of(G), t)
-    mag, phase = fidelity(U, p, p)
-    kind = TransferKind.PERIODIC if mag >= 1.0 - tol else TransferKind.NONE
-    return TransferReport(kind, p, p, t, mag, phase, tol)
+    return _verdict(_spectrum_of(G), p, p, t, tol)
 
 
 def mixed_pair_entry_symmetry(
@@ -256,21 +254,14 @@ def pst_time_scan(
     step = t_max / grid
     lo = max(times[k] - step, 0.0)
     hi = min(times[k] + step, t_max)
-    coeff = np.array([E[b, a] for E in s.projectors], dtype=complex)
 
     def mag_at(t: float) -> float:
-        return float(abs((np.exp(-1j * s.values * t) * coeff).sum()))
+        return float(abs(transfer_amplitudes(s, a, b, np.array([t]))[0]))
 
     t_best, f_best = _golden_max(mag_at, lo, hi)
     if mags[k] > f_best:
         t_best, f_best = float(times[k]), float(mags[k])
-    U = propagator(s, t_best)
-    mag, phase = fidelity(U, a, b)
-    if mag >= 1.0 - tol:
-        kind = TransferKind.LPST if a != b else TransferKind.PERIODIC
-    else:
-        kind = TransferKind.NONE
-    return TransferReport(kind, a, b, t_best, mag, phase, tol)
+    return _verdict(s, a, b, t_best, tol)
 
 
 def pgst_scan(
@@ -298,8 +289,6 @@ def pgst_scan(
     ):
         raise ValueError("epsilons must be strictly decreasing within (0, 1)")
     s = _spectrum_of(G)
-    coeff = np.array([E[b, a] for E in s.projectors], dtype=complex)
-
     times: list[float] = []
     fids: list[float] = []
     ladder: list[EpsilonHit] = []
@@ -310,7 +299,7 @@ def pgst_scan(
         q1 = min(q0 + chunk, q_max + 1)
         qs = np.arange(q0, q1)
         ts = (4.0 * qs + 1.0) * (np.pi / 2.0)
-        mags = np.abs(np.exp(-1j * np.outer(ts, s.values)) @ coeff)
+        mags = np.abs(transfer_amplitudes(s, a, b, ts))
 
         limit = mags.size
         done = False

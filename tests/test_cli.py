@@ -100,6 +100,27 @@ class TestCheck:
         code = main(["check", "--input", path, "--from", "0", "--to", "2"])
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "argv,option",
+        [
+            (["check", "--from", "0", "--to", "2", "--time", "nan"], "--time"),
+            (["check", "--from", "0", "--to", "2", "--pi-multiple", "inf"],
+             "--pi-multiple"),
+            (["check", "--from", "0", "--to", "2", "--time", "1", "--tol", "nan"],
+             "--tol"),
+            (["scan", "--from", "0", "--to", "2", "--t-max", "inf"], "--t-max"),
+            (["scan", "--from", "0", "--to", "2", "--mode", "pgst",
+              "--epsilons", "0.1,nan"], "--epsilons"),
+        ],
+    )
+    def test_non_finite_numbers_exit_2(self, tmp_path, capsys, argv, option):
+        path = write(tmp_path, "g.json", C4)
+        code = main([argv[0], "--input", path, *argv[1:]])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert option in json.loads(captured.err)["error"]
+
 
 class TestScan:
     def test_pst_k5_bounded(self, tmp_path, capsys):
@@ -190,6 +211,20 @@ class TestFamily:
         )
         assert main(["family", "--input", path]) == 2
 
+    def test_solver_failure_exits_3(self, tmp_path, capsys, monkeypatch):
+        from twinwalk.errors import ConvergenceFailureError
+
+        def explode(G):
+            raise ConvergenceFailureError("did not converge")
+
+        monkeypatch.setattr("twinwalk.walk._spectrum_of", explode)
+        path = write(
+            tmp_path, "f.json",
+            {"family": "k4n_matching", "n": 1, "matching": [[0, 1]]},
+        )
+        assert main(["family", "--input", path]) == 3
+        assert capsys.readouterr().out == ""
+
     def test_size_key_for_negative_control(self, tmp_path, capsys):
         path = write(
             tmp_path, "f.json",
@@ -236,6 +271,13 @@ class TestErrorsAndOutput:
 
     def test_missing_file(self):
         assert main(["twins", "--input", "/nonexistent/g.json"]) == 2
+
+    @pytest.mark.parametrize("weight", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_weight_exits_2(self, tmp_path, weight):
+        path = tmp_path / "g.json"
+        path.write_text(f'{{"n": 3, "edges": [[0, 1, {weight}], [1, 2]]}}')
+        assert main(["check", "--input", str(path), "--from", "0", "--to", "2",
+                     "--time", "1"]) == 2
 
     def test_numerical_failure_exits_3(self, tmp_path, monkeypatch):
         from twinwalk.errors import ConvergenceFailureError

@@ -56,6 +56,9 @@ class TestBuildGraph:
             ([(0, 1, 1.0), (1, 0, 2.0)], DuplicateEdgeError),
             ([(0, 1, 0.0)], NonPositiveWeightError),
             ([(0, 1, -2.0)], NonPositiveWeightError),
+            ([(0, 1, float("nan"))], NonPositiveWeightError),
+            ([(0, 1, float("inf"))], NonPositiveWeightError),
+            ([(0, 1, float("-inf"))], NonPositiveWeightError),
         ],
     )
     def test_rejects_bad_edges(self, edges, err):

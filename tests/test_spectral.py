@@ -44,8 +44,25 @@ class TestEigendecompose:
 
     def test_convergence_failure(self):
         L = laplacian(cycle_graph(5))
-        with pytest.raises(ConvergenceFailureError):
-            eigendecompose(L, max_sweeps=0)
+        L[0, 1] = L[1, 0] = np.nan
+        with pytest.raises(ConvergenceFailureError, match="non-finite"):
+            eigendecompose(L)
+
+    def test_spectrum_is_read_only(self):
+        s = eigendecompose(laplacian(cycle_graph(4)))
+        for arr in (s.values, s.vectors, s.starts, *s.projectors):
+            with pytest.raises(ValueError):
+                arr[...] = 0.0
+
+    def test_basis_formulas_match_projector_sums(self):
+        # degenerate spectra; the projector sums are the reference
+        for G in (complete(5), cycle_graph(8), cycle_graph(7)):
+            s = eigendecompose(laplacian(G))
+            for a, b in ((0, 0), (0, 1), (1, 3)):
+                ref = [E[b, a] for E in s.projectors]
+                assert np.abs(s.coefficients(a, b) - ref).max() < 1e-12
+            ref = sum(np.exp(-0.7j * mu) * E for mu, E in zip(s.values, s.projectors))
+            assert np.abs(s.unitary(0.7) - ref).max() < 1e-12
 
     def test_random_invariants(self, rng):
         # module contract: 50 random symmetric matrices, n <= 12
