@@ -216,7 +216,7 @@ def verify_family(
     Raises WitnessFailedError at the first witness the numerics do not
     confirm; otherwise returns one report per witness.
     """
-    if tol <= 0:
+    if not tol > 0:
         raise ValueError("tol must be positive")
     reports = []
     for w in fi.expected_witnesses:

@@ -51,17 +51,6 @@ class WeightedGraph:
             return 0.0
         return self.weights.get(_key(u, v), 0.0)
 
-    def neighbors(self, u: int) -> dict[int, float]:
-        """Map from neighbor index to edge weight."""
-        _check_vertex(self.n, u)
-        out: dict[int, float] = {}
-        for (a, b), w in self.weights.items():
-            if a == u:
-                out[b] = w
-            elif b == u:
-                out[a] = w
-        return out
-
     @property
     def has_negative_weight(self) -> bool:
         return any(w < 0 for w in self.weights.values())
@@ -88,6 +77,8 @@ class EdgePerturbation:
     def __post_init__(self) -> None:
         if self.a == self.b:
             raise EqualVerticesError("perturbation endpoints must differ")
+        if not np.isfinite(self.alpha):
+            raise ValueError("perturbation alpha must be finite")
 
 
 def build_graph(n: int, edge_list: list[tuple[int, int, float]]) -> WeightedGraph:
@@ -131,26 +122,28 @@ def laplacian(G: WeightedGraph) -> np.ndarray:
 
 
 def is_twin_pair(G: WeightedGraph, a: int, b: int) -> bool:
-    """True iff a and b carry equal weights to every vertex outside {a, b}."""
+    """True iff a and b carry equal weights to every vertex outside {a, b}.
+
+    Rows a and b of the adjacency matrix then differ only in columns a and b,
+    and there exactly when the pair is joined by an edge.
+    """
     _check_vertex(G.n, a)
     _check_vertex(G.n, b)
     if a == b:
         raise EqualVerticesError("twin test needs two distinct vertices")
-    return all(
-        G.weight(a, q) == G.weight(b, q) for q in range(G.n) if q != a and q != b
-    )
+    A = adjacency(G)
+    return bool(np.count_nonzero(A[a] != A[b]) == 2 * (A[a, b] != 0))
 
 
 def list_twin_pairs(G: WeightedGraph) -> list[TwinPair]:
     """All twin pairs (a, b) with a < b, in lexicographic order."""
+    A = adjacency(G)
     pairs = []
     for a in range(G.n):
-        for b in range(a + 1, G.n):
-            if is_twin_pair(G, a, b):
-                profile = {
-                    q: w for q, w in G.neighbors(a).items() if q != b
-                }
-                pairs.append(TwinPair(a, b, G.weight(a, b) != 0, profile))
+        diffs = np.count_nonzero(A[a] != A[a + 1:], axis=1)
+        for b in np.flatnonzero(diffs == 2 * (A[a, a + 1:] != 0)) + a + 1:
+            profile = {int(q): float(A[a, q]) for q in np.flatnonzero(A[a]) if q != b}
+            pairs.append(TwinPair(a, int(b), bool(A[a, b] != 0), profile))
     return pairs
 
 

@@ -16,7 +16,7 @@ from pathlib import Path
 from typing import Any
 
 from .circulant import CirculantSpec, build_circulant
-from .errors import ParseError, TwinWalkError
+from .errors import ParseError
 from .families import (
     FamilyInstance,
     circulant_twin_edge_family,
@@ -43,8 +43,6 @@ def graph_from_obj(obj: Any) -> WeightedGraph:
             cspec = CirculantSpec(int(spec["n"]), frozenset(int(s) for s in spec["S"]))
         except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"bad circulant object: {exc}") from exc
-        except TwinWalkError:
-            raise
         return build_circulant(cspec)
     try:
         n = int(obj["n"])

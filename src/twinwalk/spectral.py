@@ -125,7 +125,7 @@ def eigendecompose(
     Sorted eigenvalues with consecutive gaps within cluster_tol * max(1,
     ||L||_F) form one cluster, whose distinct value is their mean.
     """
-    if cluster_tol <= 0:
+    if not cluster_tol > 0:
         raise ValueError("cluster_tol must be positive")
     L = np.asarray(L, dtype=float)
     if not np.isfinite(L).all():
@@ -141,7 +141,7 @@ def eigendecompose(
 
 def is_integral_spectrum(s: Spectrum, int_tol: float = DEFAULT_INT_TOL) -> bool:
     """True iff every distinct eigenvalue is within int_tol of an integer."""
-    if int_tol <= 0:
+    if not int_tol > 0:
         raise ValueError("int_tol must be positive")
     return bool(np.all(np.abs(s.values - np.round(s.values)) <= int_tol))
 

@@ -269,6 +269,10 @@ class TestErrorsAndOutput:
         path = write(tmp_path, "bad.json", {"vertices": 4})
         assert main(["twins", "--input", str(path)]) == 2
 
+    def test_circulant_containing_zero_exits_2(self, tmp_path):
+        path = write(tmp_path, "bad.json", {"circulant": {"n": 8, "S": [0, 1, 7]}})
+        assert main(["twins", "--input", path]) == 2
+
     def test_missing_file(self):
         assert main(["twins", "--input", "/nonexistent/g.json"]) == 2
 

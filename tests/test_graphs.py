@@ -226,6 +226,11 @@ class TestPerturbEdge:
         G = cycle_graph(5)
         assert perturb_edge(G, EdgePerturbation(1, 3, 0.0)).weights == G.weights
 
+    @pytest.mark.parametrize("alpha", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_alpha_rejected(self, alpha):
+        with pytest.raises(ValueError):
+            EdgePerturbation(0, 1, alpha)
+
     def test_negative_weight_flagged(self):
         G = perturb_edge(cycle_graph(4), EdgePerturbation(0, 1, -1.5))
         assert G.weight(0, 1) == -0.5

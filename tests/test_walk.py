@@ -1,16 +1,20 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from twinwalk import (
     EdgePerturbation,
     TransferKind,
     TwinPair,
     build_circulant,
+    build_graph,
     CirculantSpec,
     check_lpst,
     check_periodic,
     eigendecompose,
     fidelity,
+    is_integral_spectrum,
+    k4n_remove_matching,
     laplacian,
     list_twin_pairs,
     matrix_exp_oracle,
@@ -24,6 +28,7 @@ from twinwalk import (
     rank_one_matrix,
     transfer_amplitudes,
     verify_factorization,
+    verify_family,
 )
 from twinwalk.errors import (
     EqualVerticesError,
@@ -34,6 +39,7 @@ from conftest import cycle_graph, path_graph
 from test_graphs import complete
 
 PI = np.pi
+NAN = float("nan")
 
 
 def spectrum_of(G):
@@ -127,6 +133,12 @@ class TestPerturbedPropagator:
         base2 = propagator(spectrum_of(G2), 1.0)
         perturbed_propagator(base2, rank_one_matrix(4, 0, 2), 1.0, validate_graph=G2)
 
+    @pytest.mark.parametrize("alpha", [NAN, np.inf])
+    def test_non_finite_alpha_rejected(self, alpha):
+        base = propagator(spectrum_of(cycle_graph(4)), 1.0)
+        with pytest.raises(ValueError):
+            perturbed_propagator(base, rank_one_matrix(4, 0, 2), alpha)
+
     def test_untouched_columns_preserved(self):
         # columns outside the perturbed pair never move
         G = complete(8)
@@ -195,6 +207,13 @@ class TestChecks:
         assert r.kind is TransferKind.NONE
         assert r.fidelity <= 2.0 / 5 + 1e-9
 
+    @pytest.mark.parametrize("t", [NAN, np.inf, -np.inf])
+    def test_non_finite_time_rejected(self, t):
+        with pytest.raises(ValueError):
+            check_lpst(cycle_graph(4), 0, 2, t)
+        with pytest.raises(ValueError):
+            check_periodic(cycle_graph(4), 0, t)
+
     def test_check_lpst_errors(self):
         with pytest.raises(EqualVerticesError):
             check_lpst(cycle_graph(4), 1, 1, PI)
@@ -252,10 +271,33 @@ class TestMixedPairSymmetry:
 
 class TestPstTimeScan:
     def test_k4_minus_edge_finds_half_pi(self):
-        r = pst_time_scan(k4_minus_edge(), 0, 1, 2 * PI)
+        # pi/2 is a grid point of (0, 2 pi] but falls between those of
+        # (0, 3], where the best grid point alone misses fidelity 1 - 1e-9
+        for G, a, b in ((k4_minus_edge(), 0, 1), (cycle_graph(4), 0, 2)):
+            for t_max in (2 * PI, 3.0):
+                r = pst_time_scan(G, a, b, t_max)
+                assert r.kind is TransferKind.LPST
+                assert abs(r.time - PI / 2) < 1e-12
+                assert type(r.time) is float
+                assert r.fidelity >= 1.0 - 1e-9
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.data())
+    def test_k4m_minus_matching_finds_half_pi(self, data):
+        m = data.draw(st.integers(1, 3))
+        order = data.draw(st.permutations(range(4 * m)))
+        k = data.draw(st.integers(1, 2 * m))
+        matching = list(zip(order[0:2 * k:2], order[1:2 * k:2]))
+        a, b = data.draw(st.sampled_from(matching))
+        r = pst_time_scan(k4n_remove_matching(4 * m, matching).graph, a, b, PI)
         assert r.kind is TransferKind.LPST
-        assert abs(r.time - PI / 2) < 1e-6
-        assert r.fidelity >= 1.0 - 1e-9
+        assert abs(r.time - PI / 2) < 1e-12
+
+    def test_zero_amplitude_keeps_a_grid_time(self):
+        G = build_graph(4, [(0, 1, 1.0), (2, 3, 1.0)])
+        r = pst_time_scan(G, 0, 2, PI)
+        assert r.kind is TransferKind.NONE
+        assert r.time == pytest.approx(PI / 20_000)
 
     def test_quarter_weight_k3_finds_two_pi(self):
         G = complete(3)
@@ -356,6 +398,34 @@ class TestFactorization:
         fake = TwinPair(0, 1, True, {})
         with pytest.raises(TwinViolationError):
             verify_factorization(G, fake, 1.0, [1.0])
+
+    @pytest.mark.parametrize(
+        "alpha, times", [(np.inf, [1.0]), (NAN, [1.0]), (1.0, [NAN]), (1.0, [0.5, np.inf])]
+    )
+    def test_non_finite_alpha_or_time_rejected(self, alpha, times):
+        G = cycle_graph(4)
+        with pytest.raises(ValueError):
+            verify_factorization(G, list_twin_pairs(G)[0], alpha, times)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: eigendecompose(laplacian(cycle_graph(4)), cluster_tol=NAN),
+        lambda: is_integral_spectrum(spectrum_of(cycle_graph(4)), int_tol=NAN),
+        lambda: check_lpst(cycle_graph(4), 0, 2, PI / 2, tol=NAN),
+        lambda: check_periodic(cycle_graph(4), 0, 2 * PI, tol=NAN),
+        lambda: pst_time_scan(cycle_graph(4), 0, 2, PI, tol=NAN),
+        lambda: verify_family(k4n_remove_matching(4, [(0, 1)]), tol=NAN),
+        lambda: pst_time_scan(cycle_graph(4), 0, 2, NAN),
+        lambda: pst_time_scan(cycle_graph(4), 0, 2, np.inf),
+    ],
+    ids=["cluster_tol", "int_tol", "lpst_tol", "periodic_tol", "scan_tol",
+         "family_tol", "t_max_nan", "t_max_inf"],
+)
+def test_positivity_guards_reject_nan_and_inf(call):
+    with pytest.raises(ValueError):
+        call()
 
 
 class TestPerturbationTransferEffects:
