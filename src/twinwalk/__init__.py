@@ -44,12 +44,10 @@ from .spectral import (
 from .walk import (
     EpsilonHit,
     PGSTWitness,
-    Propagator,
     TransferKind,
     TransferReport,
     check_lpst,
     check_periodic,
-    fidelity,
     mixed_pair_entry_symmetry,
     perturbed_propagator,
     pgst_scan,

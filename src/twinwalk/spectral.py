@@ -7,6 +7,8 @@ on symmetric input. A read-only Spectrum keeps the sorted eigenbasis and
 merges eigenvalues closer than a clustering tolerance into one distinct value;
 projectors, transfer coefficients and propagators are derived from the basis
 here, so degenerate eigenspaces only enter through sums over their clusters.
+Every propagator entry U(t)[b, a] a verdict reads is a sum over the transfer
+coefficients of (a, b), which also check that both vertices are in range.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ConvergenceFailureError
+from .errors import ConvergenceFailureError, IndexOutOfRangeError
 
 DEFAULT_CLUSTER_TOL = 1e-8
 DEFAULT_INT_TOL = 1e-6
@@ -59,6 +61,9 @@ class Spectrum:
 
     def coefficients(self, a: int, b: int) -> np.ndarray:
         """E_j[b, a] for every cluster j, the weights of U(t)[b, a]."""
+        for v in (a, b):
+            if not 0 <= v < self.n:
+                raise IndexOutOfRangeError(f"vertex {v} out of range [0, {self.n})")
         return np.add.reduceat(self.vectors[a] * self.vectors[b], self.starts)
 
     def unitary(self, t: float) -> np.ndarray:

@@ -1,7 +1,10 @@
-"""Propagator evaluation, transfer fidelities, and state-transfer searches.
+"""Transfer amplitudes, state-transfer checks and searches, and the closed-form
+propagator of a twin-edge perturbation.
 
-Propagators are evaluated from the spectral decomposition, U(t) = sum_j
-exp(-i mu_j t) E_j. For a twin pair (a, b) the propagator of the edge
+Every verdict reads one entry, U(t)[b, a] = sum_j exp(-i mu_j t) E_j[b, a],
+through transfer_amplitudes, which sums the spectrum's transfer coefficients
+of (a, b) at a vector of times. Whole propagators are formed only where a
+matrix is the point: for a twin pair (a, b) the propagator of the edge
 perturbed graph factors in closed form,
 
     U'(t) = U(t) [I + (exp(-2 i alpha t) - 1) / 2 * M],
@@ -20,11 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    EqualVerticesError,
-    IndexOutOfRangeError,
-    TwinViolationError,
-)
+from .errors import EqualVerticesError, TwinViolationError
 from .graphs import (
     TwinPair,
     WeightedGraph,
@@ -52,14 +51,6 @@ class TransferKind(enum.Enum):
 
 
 @dataclass(frozen=True)
-class Propagator:
-    """A unitary walk matrix tagged with its evaluation time."""
-
-    time: float
-    matrix: np.ndarray
-
-
-@dataclass(frozen=True)
 class TransferReport:
     kind: TransferKind
     source: int
@@ -72,12 +63,14 @@ class TransferReport:
 
 @dataclass(frozen=True)
 class EpsilonHit:
-    """First scan time whose fidelity reached 1 - epsilon."""
+    """First scan time whose fidelity reached 1 - epsilon, with the unit
+    phase of U(time)[b, a]."""
 
     epsilon: float
     q: int
     time: float
     fidelity: float
+    phase: complex
 
 
 @dataclass(frozen=True)
@@ -99,9 +92,9 @@ class PGSTWitness:
         return None
 
 
-def propagator(s: Spectrum, t: float) -> Propagator:
+def propagator(s: Spectrum, t: float) -> np.ndarray:
     """U(t) = sum_j exp(-i mu_j t) E_j."""
-    return Propagator(t, s.unitary(t))
+    return s.unitary(t)
 
 
 def transfer_amplitudes(
@@ -116,46 +109,25 @@ def phase_alignment(s: Spectrum, t: float) -> float:
     return float(np.abs(np.exp(-1j * s.values * t) - 1.0).max())
 
 
-def _pair_from_rank_one(M: np.ndarray) -> tuple[int, int]:
-    idx = np.flatnonzero(np.diag(M) == 1.0)
-    if idx.size != 2:
-        raise ValueError("matrix is not a rank-one twin-pair perturbation")
-    return int(idx[0]), int(idx[1])
-
-
 def perturbed_propagator(
-    base: Propagator,
-    M: np.ndarray,
-    alpha: float,
-    validate_graph: WeightedGraph | None = None,
-) -> Propagator:
-    """Closed-form propagator of the edge perturbed graph at base.time.
+    s: Spectrum, t: float, M: np.ndarray, alpha: float
+) -> np.ndarray:
+    """Closed-form propagator at time t of the graph whose spectrum is s with
+    alpha added to the edge of M's pair.
 
-    Valid only when the endpoints of M are twins in the graph the base
-    propagator came from; pass that graph as validate_graph to have the twin
-    condition checked (TwinViolationError otherwise).
+    Valid only when the endpoints of M are twins in the graph s came from;
+    verify_factorization checks that condition.
     """
     if not np.isfinite(alpha):
         raise ValueError("alpha must be finite")
-    if validate_graph is not None:
-        a, b = _pair_from_rank_one(M)
-        if not is_twin_pair(validate_graph, a, b):
-            raise TwinViolationError(
-                f"({a},{b}) is not a twin pair; factorization invalid"
-            )
-    t = base.time
-    bracket = np.eye(base.matrix.shape[0], dtype=complex)
+    bracket = np.eye(s.n, dtype=complex)
     bracket += 0.5 * (np.exp(-2j * alpha * t) - 1.0) * M
-    return Propagator(t, base.matrix @ bracket)
+    return propagator(s, t) @ bracket
 
 
-def fidelity(U: Propagator, a: int, b: int) -> tuple[float, complex]:
-    """(|U[b, a]|, unit phase); phase defaults to 1 below the noise floor."""
-    n = U.matrix.shape[0]
-    for v in (a, b):
-        if not 0 <= v < n:
-            raise IndexOutOfRangeError(f"vertex {v} out of range [0, {n})")
-    entry = complex(U.matrix[b, a])
+def _polar(entry: complex) -> tuple[float, complex]:
+    """(|entry|, unit phase); the phase defaults to 1 below the noise floor."""
+    entry = complex(entry)
     mag = abs(entry)
     if mag < _PHASE_FLOOR:
         return mag, 1.0 + 0.0j
@@ -172,7 +144,7 @@ def _verdict(s: Spectrum, a: int, b: int, t: float, tol: float) -> TransferRepor
         raise ValueError("tol must be positive")
     if not np.isfinite(t):
         raise ValueError("t must be finite")
-    mag, phase = fidelity(propagator(s, t), a, b)
+    mag, phase = _polar(transfer_amplitudes(s, a, b, np.array([t]))[0])
     hit = TransferKind.LPST if a != b else TransferKind.PERIODIC
     kind = hit if mag >= 1.0 - tol else TransferKind.NONE
     return TransferReport(kind, a, b, t, mag, phase, tol)
@@ -203,8 +175,6 @@ def mixed_pair_entry_symmetry(
     that no transfer between a twin and an outside vertex can exceed
     1/sqrt(2) in fidelity.
     """
-    if not 0 <= q < G.n:
-        raise IndexOutOfRangeError(f"vertex {q} out of range [0, {G.n})")
     if q in (tw.a, tw.b):
         raise EqualVerticesError("q must lie outside the twin pair")
     s = _spectrum_of(G)
@@ -230,7 +200,10 @@ def pst_time_scan(
     Near a perfect transfer |f| rounds to 1 over a window about 1e-8 wide,
     but the sign of its slope stays resolved there, so the reported time is
     stable to rounding. The grid point is kept unless the refined time is
-    strictly better."""
+    strictly better. Source and target must differ, as |U(t)[p, p]| -> 1 as
+    t -> 0; check_periodic and pgst_scan(G, p, p) test returns to p."""
+    if a == b:
+        raise EqualVerticesError("state transfer needs two distinct vertices")
     if not 0 < t_max < np.inf:
         raise ValueError("t_max must be positive and finite")
     if grid < 2:
@@ -292,7 +265,8 @@ def pgst_scan(
         q1 = min(q0 + chunk, q_max + 1)
         qs = np.arange(q0, q1)
         ts = (4.0 * qs + 1.0) * (np.pi / 2.0)
-        mags = np.abs(transfer_amplitudes(s, a, b, ts))
+        amps = transfer_amplitudes(s, a, b, ts)
+        mags = np.abs(amps)
 
         limit = mags.size
         done = False
@@ -301,12 +275,12 @@ def pgst_scan(
             if crossed.size == 0:
                 break
             i = int(crossed[0])
-            ladder.append(
-                EpsilonHit(pending.pop(0), int(qs[i]), float(ts[i]), float(mags[i]))
-            )
+            ladder.append(EpsilonHit(pending.pop(0), int(qs[i]), float(ts[i]),
+                                     float(mags[i]), _polar(amps[i])[1]))
             if not pending:
                 limit = i + 1
                 done = True
+        del amps  # hold no chunk-sized complex array into the next chunk
 
         pos = 0
         while pos < limit:
@@ -338,7 +312,7 @@ def verify_factorization(
     s = eigendecompose(L)
     worst = 0.0
     for t in times:
-        closed = perturbed_propagator(propagator(s, t), M, alpha)
+        closed = perturbed_propagator(s, t, M, alpha)
         direct = matrix_exp_oracle(L + alpha * M, t)
-        worst = max(worst, float(np.abs(closed.matrix - direct).max()))
+        worst = max(worst, float(np.abs(closed - direct).max()))
     return worst

@@ -1,9 +1,14 @@
+import contextlib
+import io
 import json
 import math
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from twinwalk.cli import main
 
@@ -39,6 +44,12 @@ def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr().out
     return code, json.loads(out) if out else None
+
+
+def assert_input_error(code, captured):
+    assert code == 2
+    assert captured.out == ""
+    return json.loads(captured.err)["error"]
 
 
 class TestTwins:
@@ -154,6 +165,22 @@ class TestScan:
         assert code == 1
         assert obj["kind"] == "NONE"
         assert obj["ladder"] == []
+
+    @pytest.mark.parametrize("mode", ["pst", "pgst"])
+    @pytest.mark.parametrize("a, b", [(-1, 2), (0, -1), (4, 0), (0, 4)])
+    def test_out_of_range_vertex_exits_2(self, tmp_path, capsys, mode, a, b):
+        path = write(tmp_path, "g.json", C4)
+        code = main(["scan", "--input", path, "--from", str(a), "--to", str(b),
+                     "--mode", mode, "--q-max", "10"])
+        assert "out of range" in assert_input_error(code, capsys.readouterr())
+
+    def test_pst_scan_to_the_source_exits_2(self, tmp_path, capsys):
+        # returns are checked at a time (check --from p --to p) or along
+        # (4q+1) pi/2 (scan --mode pgst), never by a pst scan from t ~ 0
+        path = write(tmp_path, "g.json", C4)
+        code = main(["scan", "--input", path, "--from", "0", "--to", "0",
+                     "--mode", "pst", "--t-max", "1"])
+        assert "distinct" in assert_input_error(code, capsys.readouterr())
 
     def test_pgst_z16_ladder_monotone(self, tmp_path, capsys):
         path = write(tmp_path, "g.json", Z16_PERTURBED)
@@ -273,6 +300,39 @@ class TestErrorsAndOutput:
         path = write(tmp_path, "bad.json", {"circulant": {"n": 8, "S": [0, 1, 7]}})
         assert main(["twins", "--input", path]) == 2
 
+    @pytest.mark.parametrize(
+        "command, doc",
+        [
+            ("twins", {"n": 4.7, "edges": [[0, 1]]}),
+            ("twins", {"n": "4", "edges": [[0, 1]]}),
+            ("twins", {"n": 4, "edges": [[0, 1.9]]}),
+            ("twins", {"n": 4, "edges": [[True, 2]]}),
+            ("twins", {"n": 4, "edges": [[0, 1, "2"]]}),
+            ("twins", {"circulant": {"n": 8.0, "S": [1, 7]}}),
+            ("twins", {"circulant": {"n": 8, "S": [1, "7"]}}),
+            ("family", {"family": "k4n_matching", "size": 8.9, "matching": [[0, 4]]}),
+            ("family", {"family": "k4n_matching", "n": True, "matching": [[0, 1]]}),
+            ("family", {"family": "k4n_matching", "size": 8, "matching": [[0, 4.5]]}),
+            ("family", {"family": "quarter_weight", "base": "K5", "pairs": [[0, "2"]]}),
+            ("family", {"family": "circulant_twin", "n": 8.0, "S": [1, 3, 5, 7],
+                        "pairs": [[0, 4]]}),
+            ("family", {"family": "circulant_twin", "n": 8, "S": [1, 3, 5, 7.0],
+                        "pairs": [[0, 4]]}),
+            ("family", {"family": "circulant_twin", "n": 8, "S": [1, 3, 5, 7],
+                        "pairs": [[False, 4]]}),
+        ],
+        ids=["graph_n_float", "graph_n_str", "edge_vertex_float", "edge_vertex_bool",
+             "edge_weight_str", "circulant_n_float", "circulant_S_str", "k4n_size_float",
+             "k4n_n_bool", "k4n_matching_float", "quarter_pairs_str",
+             "circulant_twin_n_float", "circulant_twin_S_float",
+             "circulant_twin_pairs_bool"],
+    )
+    def test_non_integer_json_numbers_exit_2(self, tmp_path, capsys, command, doc):
+        # each used to be truncated or coerced, e.g. size 8.9 with matching
+        # [[0, 4.5]] verified K8 minus (0, 4)
+        code = main([command, "--input", write(tmp_path, "doc.json", doc)])
+        assert "must be" in assert_input_error(code, capsys.readouterr())
+
     def test_missing_file(self):
         assert main(["twins", "--input", "/nonexistent/g.json"]) == 2
 
@@ -309,3 +369,85 @@ class TestErrorsAndOutput:
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout) == {"twin_pairs": [[0, 2], [1, 3]]}
+
+
+JSON_JUNK = [-1.5, 1.0, True, "1", None]
+
+
+@st.composite
+def cli_cases(draw):
+    """A simple graph document on n <= 6 vertices with at most one flaw
+    planted among its entries, and two vertices in [-2, n + 2]."""
+    n = draw(st.integers(1, 6))
+    pairs = [[u, v] for u in range(n) for v in range(u + 1, n)]
+    picks = draw(st.lists(st.integers(0, len(pairs) - 1), unique=True, max_size=6)
+                 if pairs else st.just([]))
+    edges = [pairs[i] + draw(st.lists(st.floats(0.1, 3.0), max_size=1)) for i in picks]
+    vertex = st.integers(0, n - 1)
+    flaw = draw(st.sampled_from([None, None, "n", "endpoint", "weight", "shape", "repeat"]))
+    if flaw == "n":
+        n_field = draw(st.sampled_from([float(n), str(n), True, 0]))
+    else:
+        n_field = n
+    bad_edge = {
+        "endpoint": [draw(st.sampled_from([-1, n, *JSON_JUNK])), draw(vertex)],
+        "weight": [draw(vertex), draw(vertex),
+                   draw(st.sampled_from([-1.0, 0, math.nan, math.inf, "2", True]))],
+        "shape": draw(st.sampled_from([[0], [0, 1, 1.0, 1.0], 5, "ab"])),
+        "repeat": edges[-1][1::-1] if edges else [0, 0],
+    }.get(flaw)
+    if bad_edge is not None:
+        edges.insert(draw(st.integers(0, len(edges))), bad_edge)
+    vertex = st.one_of(vertex, vertex, st.integers(-2, n + 2))
+    return n, {"n": n_field, "edges": edges}, draw(vertex), draw(vertex)
+
+
+def well_formed(n, doc):
+    """The graph rules: integer n and endpoints, numeric finite positive
+    weights, no self loops or repeated edges."""
+    if type(doc["n"]) is not int:
+        return False
+    seen = set()
+    for e in doc["edges"]:
+        if not isinstance(e, list) or len(e) not in (2, 3):
+            return False
+        ends, w = e[:2], e[2] if len(e) == 3 else 1.0
+        if not all(type(v) is int and 0 <= v < n for v in ends) or ends[0] == ends[1]:
+            return False
+        if type(w) not in (int, float) or not 0 < w < math.inf:
+            return False
+        if frozenset(ends) in seen:
+            return False
+        seen.add(frozenset(ends))
+    return True
+
+
+@settings(max_examples=50, deadline=None)
+@given(cli_cases())
+def test_cli_exit_codes_match_the_input(case):
+    """No traceback; exit 2 with a JSON error exactly for bad input, and
+    otherwise a verdict on the requested vertices."""
+    n, doc, a, b = case
+    commands = {
+        "check": ["check", "--pi-multiple", "0.5"],
+        "pst": ["scan", "--mode", "pst", "--grid", "64", "--t-max-pi", "1"],
+        "pgst": ["scan", "--mode", "pgst", "--q-max", "64"],
+    }
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "g.json"
+        path.write_text(json.dumps(doc))
+        for name, argv in commands.items():
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main([*argv, "--input", str(path),
+                             "--from", str(a), "--to", str(b)])
+            bad = (not well_formed(n, doc) or not (0 <= a < n and 0 <= b < n)
+                   or (name == "pst" and a == b))
+            if bad:
+                assert code == 2, (name, code, out.getvalue())
+                assert out.getvalue() == ""
+                assert isinstance(json.loads(err.getvalue())["error"], str)
+            else:
+                assert code in (0, 1), (name, code, err.getvalue())
+                obj = json.loads(out.getvalue())
+                assert (obj["from"], obj["to"]) == (a, b)

@@ -172,6 +172,9 @@ class TestCirculantTwinEdges:
         reports = verify_family(fi, q_max=100)
         assert reports[0].kind is TransferKind.PGST
         assert reports[0].fidelity >= 1.0 - 1e-3
+        # the phase is that of U(t)[8, 0] at the reported time
+        direct = check_lpst(fi.graph, 0, 8, reports[0].time)
+        assert abs(reports[0].phase - direct.phase) < 1e-12
 
     def test_non_power_of_two_rejected(self):
         with pytest.raises(PreconditionFailedError):

@@ -7,7 +7,7 @@ from twinwalk import (
     laplacian,
     matrix_exp_oracle,
 )
-from twinwalk.errors import ConvergenceFailureError
+from twinwalk.errors import ConvergenceFailureError, IndexOutOfRangeError
 from conftest import assert_spectrum_invariants, cycle_graph
 from test_graphs import complete
 
@@ -63,6 +63,12 @@ class TestEigendecompose:
                 assert np.abs(s.coefficients(a, b) - ref).max() < 1e-12
             ref = sum(np.exp(-0.7j * mu) * E for mu, E in zip(s.values, s.projectors))
             assert np.abs(s.unitary(0.7) - ref).max() < 1e-12
+
+    @pytest.mark.parametrize("a, b", [(0, 4), (4, 0), (-1, 0), (0, -1)])
+    def test_coefficients_reject_out_of_range(self, a, b):
+        s = eigendecompose(laplacian(cycle_graph(4)))
+        with pytest.raises(IndexOutOfRangeError):
+            s.coefficients(a, b)
 
     def test_random_invariants(self, rng):
         # module contract: 50 random symmetric matrices, n <= 12

@@ -12,7 +12,6 @@ from twinwalk import (
     check_lpst,
     check_periodic,
     eigendecompose,
-    fidelity,
     is_integral_spectrum,
     k4n_remove_matching,
     laplacian,
@@ -53,7 +52,7 @@ def k4_minus_edge():
 class TestPropagator:
     def test_time_zero_identity(self):
         U = propagator(spectrum_of(cycle_graph(5)), 0.0)
-        assert np.abs(U.matrix - np.eye(5)).max() < 1e-12
+        assert np.abs(U - np.eye(5)).max() < 1e-12
 
     @pytest.mark.parametrize("n", [3, 4, 7])
     def test_complete_graph_closed_form(self, n, rng):
@@ -61,12 +60,12 @@ class TestPropagator:
         J = np.ones((n, n))
         for t in rng.uniform(0, 8, size=5):
             expected = J / n + np.exp(-1j * n * t) * (np.eye(n) - J / n)
-            assert np.abs(propagator(s, t).matrix - expected).max() < 1e-10
+            assert np.abs(propagator(s, t) - expected).max() < 1e-10
 
     def test_integral_graph_periodic_at_two_pi(self):
         for G in (complete(4), cycle_graph(4), complete(7)):
             U = propagator(spectrum_of(G), 2 * PI)
-            assert np.abs(U.matrix - np.eye(G.n)).max() < 1e-9
+            assert np.abs(U - np.eye(G.n)).max() < 1e-9
 
     def test_unitarity(self, rng):
         for _ in range(10):
@@ -74,7 +73,7 @@ class TestPropagator:
             R = rng.uniform(-2, 2, size=(n, n))
             s = eigendecompose((R + R.T) / 2)
             t = float(rng.uniform(0, 10))
-            U = propagator(s, t).matrix
+            U = propagator(s, t)
             assert np.abs(U @ U.conj().T - np.eye(n)).max() < 1e-9
 
     def test_group_law(self, rng):
@@ -83,8 +82,8 @@ class TestPropagator:
             R = rng.uniform(-2, 2, size=(n, n))
             s = eigendecompose((R + R.T) / 2)
             t1, t2 = rng.uniform(0, 5, size=2)
-            lhs = propagator(s, t1 + t2).matrix
-            rhs = propagator(s, t1).matrix @ propagator(s, t2).matrix
+            lhs = propagator(s, t1 + t2)
+            rhs = propagator(s, t1) @ propagator(s, t2)
             assert np.abs(lhs - rhs).max() < 1e-9
 
     def test_transfer_amplitudes_match_matrix(self, rng):
@@ -93,7 +92,7 @@ class TestPropagator:
         ts = rng.uniform(0, 10, size=7)
         amps = transfer_amplitudes(s, 0, 1, ts)
         for t, amp in zip(ts, amps):
-            assert abs(propagator(s, t).matrix[1, 0] - amp) < 1e-12
+            assert abs(propagator(s, t)[1, 0] - amp) < 1e-12
 
 
 class TestPerturbedPropagator:
@@ -104,40 +103,28 @@ class TestPerturbedPropagator:
         M = rank_one_matrix(4, 0, 2)
         for alpha, t in [(2.0, PI / 2), (4.0, PI / 2), (2.0, PI), (-2.0, PI / 2)]:
             base = propagator(s, t)
-            pert = perturbed_propagator(base, M, alpha)
-            assert np.abs(pert.matrix - base.matrix).max() < 1e-12
+            pert = perturbed_propagator(s, t, M, alpha)
+            assert np.abs(pert - base).max() < 1e-12
 
     def test_alpha_zero_equals_base(self):
         s = spectrum_of(complete(5))
         base = propagator(s, 1.3)
-        pert = perturbed_propagator(base, rank_one_matrix(5, 0, 1), 0.0)
-        assert np.array_equal(pert.matrix, base.matrix)
+        pert = perturbed_propagator(s, 1.3, rank_one_matrix(5, 0, 1), 0.0)
+        assert np.array_equal(pert, base)
 
     def test_k4_against_oracle(self):
         G = complete(4)
         L = laplacian(G)
         M = rank_one_matrix(4, 0, 1)
-        base = propagator(spectrum_of(G), PI / 2)
-        closed = perturbed_propagator(base, M, -1.0)
+        closed = perturbed_propagator(spectrum_of(G), PI / 2, M, -1.0)
         direct = matrix_exp_oracle(L - M, PI / 2)
-        assert np.abs(closed.matrix - direct).max() < 1e-9
-
-    def test_twin_validation(self):
-        G = path_graph(4)
-        base = propagator(spectrum_of(G), 1.0)
-        M = rank_one_matrix(4, 0, 1)
-        with pytest.raises(TwinViolationError):
-            perturbed_propagator(base, M, 1.0, validate_graph=G)
-        # validation passes on an actual twin pair
-        G2 = cycle_graph(4)
-        base2 = propagator(spectrum_of(G2), 1.0)
-        perturbed_propagator(base2, rank_one_matrix(4, 0, 2), 1.0, validate_graph=G2)
+        assert np.abs(closed - direct).max() < 1e-9
 
     @pytest.mark.parametrize("alpha", [NAN, np.inf])
     def test_non_finite_alpha_rejected(self, alpha):
-        base = propagator(spectrum_of(cycle_graph(4)), 1.0)
+        s = spectrum_of(cycle_graph(4))
         with pytest.raises(ValueError):
-            perturbed_propagator(base, rank_one_matrix(4, 0, 2), alpha)
+            perturbed_propagator(s, 1.0, rank_one_matrix(4, 0, 2), alpha)
 
     def test_untouched_columns_preserved(self):
         # columns outside the perturbed pair never move
@@ -146,19 +133,18 @@ class TestPerturbedPropagator:
         M = rank_one_matrix(8, 0, 4)
         for t in (0.3, 1.1, PI / 2, 4.0):
             base = propagator(s, t)
-            pert = perturbed_propagator(base, M, -1.0)
+            pert = perturbed_propagator(s, t, M, -1.0)
             for q in range(8):
                 if q in (0, 4):
                     continue
-                assert np.abs(pert.matrix[:, q] - base.matrix[:, q]).max() < 1e-12
+                assert np.abs(pert[:, q] - base[:, q]).max() < 1e-12
 
 
 class TestFidelity:
     def test_identity_time_zero(self):
-        U = propagator(spectrum_of(cycle_graph(4)), 0.0)
-        mag, phase = fidelity(U, 2, 2)
-        assert abs(mag - 1.0) < 1e-12
-        assert abs(phase - 1.0) < 1e-12
+        r = check_periodic(cycle_graph(4), 2, 0.0)
+        assert abs(r.fidelity - 1.0) < 1e-12
+        assert abs(r.phase - 1.0) < 1e-12
 
     def test_complete_graph_bound(self, rng):
         for n in range(4, 11):
@@ -168,27 +154,25 @@ class TestFidelity:
             assert mags.max() <= 2.0 / n + 1e-9
 
     def test_k4_minus_edge_perfect(self):
-        U = propagator(spectrum_of(k4_minus_edge()), PI / 2)
-        mag, phase = fidelity(U, 0, 1)
-        assert mag >= 1.0 - 1e-9
-        assert abs(abs(phase) - 1.0) < 1e-12
+        r = check_lpst(k4_minus_edge(), 0, 1, PI / 2)
+        assert r.fidelity >= 1.0 - 1e-9
+        assert abs(abs(r.phase) - 1.0) < 1e-12
 
     def test_index_errors(self):
-        U = propagator(spectrum_of(cycle_graph(4)), 0.0)
+        G = cycle_graph(4)
+        for a, b in ((0, 4), (-1, 2), (4, 0)):
+            with pytest.raises(IndexOutOfRangeError):
+                check_lpst(G, a, b, 0.0)
         with pytest.raises(IndexOutOfRangeError):
-            fidelity(U, 0, 4)
+            check_periodic(G, -1, 0.0)
 
     def test_phase_floor(self):
-        from twinwalk import Propagator
-
-        U = Propagator(0.0, np.eye(2, dtype=complex))
-        mag, phase = fidelity(U, 0, 1)
-        assert mag == 0.0
-        assert phase == 1.0 + 0.0j
+        # two isolated vertices: the amplitude is exactly 0
+        r = check_lpst(build_graph(2, []), 0, 1, 1.0)
+        assert r.fidelity == 0.0
+        assert r.phase == 1.0 + 0.0j
         # P_2 at t = pi: the off-diagonal entry vanishes up to rounding
-        U2 = propagator(spectrum_of(path_graph(2)), PI)
-        mag2, _ = fidelity(U2, 0, 1)
-        assert mag2 < 1e-12
+        assert check_lpst(path_graph(2), 0, 1, PI).fidelity < 1e-12
 
 
 class TestChecks:
@@ -260,6 +244,12 @@ class TestMixedPairSymmetry:
         with pytest.raises(EqualVerticesError):
             mixed_pair_entry_symmetry(G, tw, tw.a, [1.0])
 
+    @pytest.mark.parametrize("q", [-1, 4])
+    def test_q_out_of_range_rejected(self, q):
+        G = cycle_graph(4)
+        with pytest.raises(IndexOutOfRangeError):
+            mixed_pair_entry_symmetry(G, list_twin_pairs(G)[0], q, [1.0])
+
     def test_mixed_fidelity_below_inv_sqrt2(self, rng):
         G = perturb_edge(complete(8), EdgePerturbation(0, 4, -1.0))
         s = spectrum_of(G)
@@ -323,6 +313,19 @@ class TestPstTimeScan:
         with pytest.raises(ValueError):
             pst_time_scan(cycle_graph(4), 0, 2, 1.0, grid=1)
 
+    def test_equal_vertices_rejected(self):
+        # C4 returns to 0 only at pi; a scan over (0, 1] used to report a
+        # return at t ~ 1e-24, where the walk has not left the vertex
+        with pytest.raises(EqualVerticesError):
+            pst_time_scan(cycle_graph(4), 0, 0, 1.0)
+
+    @pytest.mark.parametrize("a, b", [(0, 4), (-1, 2), (4, 0)])
+    def test_out_of_range_rejected(self, a, b):
+        with pytest.raises(IndexOutOfRangeError):
+            pst_time_scan(cycle_graph(4), a, b, PI)
+        with pytest.raises(IndexOutOfRangeError):
+            pgst_scan(cycle_graph(4), a, b, q_max=10)
+
 
 class TestPgstScan:
     def fig4_graph(self, pairs=((0, 4),)):
@@ -360,6 +363,16 @@ class TestPgstScan:
         assert hit.fidelity >= 1.0 - 1e-3
         assert all(x < y for x, y in zip(w.fidelities, w.fidelities[1:]))
         assert all(x < y for x, y in zip(w.times, w.times[1:]))
+
+    def test_hit_phase_is_the_entry_phase(self):
+        G = build_circulant(CirculantSpec(16, frozenset({1, 7, 9, 15})))
+        G = perturb_edge(G, EdgePerturbation(0, 8, 1.0))
+        w = pgst_scan(G, 0, 8, q_max=100)
+        assert len(w.epsilon_ladder) == 3
+        for hit in w.epsilon_ladder:
+            r = check_lpst(G, 0, 8, hit.time)
+            assert abs(hit.phase - r.phase) < 1e-12
+            assert abs(abs(hit.phase) - 1.0) < 1e-12
 
     def test_scan_times_lie_in_progression(self):
         w = pgst_scan(self.fig4_graph(), 0, 4, q_max=5)
@@ -457,7 +470,7 @@ class TestPerturbationTransferEffects:
         pert = perturb_edge(G, EdgePerturbation(0, 2, 2.0))
         base_U = propagator(spectrum_of(G), PI / 2)
         pert_U = propagator(spectrum_of(pert), PI / 2)
-        assert np.abs(base_U.matrix - pert_U.matrix).max() < 1e-10
+        assert np.abs(base_U - pert_U).max() < 1e-10
 
     def test_lpst_survives_outside_perturbation(self):
         # K_8 minus (0,4) transfers 0 -> 4; removing (1,5) afterwards keeps it
