@@ -3,7 +3,6 @@ perturbations in closed form and perfect / pretty-good state transfer search."""
 
 from .circulant import (
     CirculantSpec,
-    GcdClass,
     adjacency_eigenvalues,
     almost_periodic_applicable,
     build_circulant,
@@ -19,13 +18,11 @@ from .families import (
     circulant_twin_edge_family,
     complete_graph,
     k4n_remove_matching,
-    quarter_weight_edge,
     quarter_weight_family,
     verify_family,
 )
 from .graphs import (
     EdgePerturbation,
-    TwinPair,
     WeightedGraph,
     adjacency,
     build_graph,

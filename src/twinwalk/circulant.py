@@ -36,24 +36,11 @@ class CirculantSpec:
             raise AsymmetricSetError("connection set not closed under negation")
 
 
-@dataclass(frozen=True)
-class GcdClass:
-    """Residues x in Z_n with gcd(x, n) equal to a fixed proper divisor d."""
-
-    n: int
-    d: int
-    members: frozenset[int]
-
-
-def proper_divisors(n: int) -> list[int]:
-    return [d for d in range(1, n) if n % d == 0]
-
-
-def gcd_class(n: int, d: int) -> GcdClass:
+def gcd_class(n: int, d: int) -> frozenset[int]:
+    """S_n(d): the residues x in Z_n with gcd(x, n) = d, a proper divisor."""
     if d < 1 or d >= n or n % d != 0:
         raise NotProperDivisorError(f"{d} is not a proper divisor of {n}")
-    members = frozenset(x for x in range(n) if gcd(x, n) == d)
-    return GcdClass(n, d, members)
+    return frozenset(x for x in range(n) if gcd(x, n) == d)
 
 
 def is_gcd_set(n: int, S: set[int] | frozenset[int]) -> bool:
@@ -62,7 +49,7 @@ def is_gcd_set(n: int, S: set[int] | frozenset[int]) -> bool:
     divisors = {gcd(s, n) for s in S}
     union: set[int] = set()
     for d in divisors:
-        union |= gcd_class(n, d).members
+        union |= gcd_class(n, d)
     return union == S
 
 
@@ -101,10 +88,8 @@ def twin_condition(spec: CirculantSpec) -> bool:
 
 def mod_four_condition(spec: CirculantSpec) -> bool:
     """True iff |S intersect S_n(d)| is divisible by 4 for every proper d | n."""
-    for d in proper_divisors(spec.n):
-        if len(spec.S & gcd_class(spec.n, d).members) % 4 != 0:
-            return False
-    return True
+    return all(len(spec.S & gcd_class(spec.n, d)) % 4 == 0
+               for d in range(1, spec.n) if spec.n % d == 0)
 
 
 def almost_periodic_applicable(spec: CirculantSpec) -> bool:

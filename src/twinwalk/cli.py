@@ -79,8 +79,7 @@ def _resolve_time(args: argparse.Namespace) -> float:
 
 def _cmd_twins(args: argparse.Namespace) -> int:
     G = load_graph(args.input)
-    pairs = [[tw.a, tw.b] for tw in list_twin_pairs(G)]
-    _emit({"twin_pairs": pairs}, args.out)
+    _emit({"twin_pairs": list_twin_pairs(G)}, args.out)
     return EXIT_OK
 
 
@@ -186,9 +185,10 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p)
     p.add_argument("--from", dest="from_vertex", type=int, required=True)
     p.add_argument("--to", dest="to_vertex", type=int, required=True)
-    p.add_argument("--time", type=float, default=None)
-    p.add_argument("--pi-multiple", type=float, default=None,
-                   help="time as a multiple of pi")
+    when = p.add_mutually_exclusive_group()
+    when.add_argument("--time", type=float, default=None)
+    when.add_argument("--pi-multiple", type=float, default=None,
+                      help="time as a multiple of pi")
     p.add_argument("--tol", type=float, default=DEFAULT_LPST_TOL)
     p.set_defaults(func=_cmd_check)
 
@@ -197,9 +197,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--from", dest="from_vertex", type=int, required=True)
     p.add_argument("--to", dest="to_vertex", type=int, required=True)
     p.add_argument("--mode", choices=("pst", "pgst"), default="pst")
-    p.add_argument("--t-max", type=float, default=None)
-    p.add_argument("--t-max-pi", type=float, default=4.0,
-                   help="scan horizon as a multiple of pi (pst mode)")
+    horizon = p.add_mutually_exclusive_group()
+    horizon.add_argument("--t-max", type=float, default=None)
+    horizon.add_argument("--t-max-pi", type=float, default=4.0,
+                         help="scan horizon as a multiple of pi (pst mode)")
     p.add_argument("--grid", type=int, default=DEFAULT_SCAN_GRID)
     p.add_argument("--q-max", type=int, default=DEFAULT_QMAX)
     p.add_argument("--epsilons", default=",".join(str(e) for e in DEFAULT_EPSILONS),

@@ -23,7 +23,8 @@ class DuplicateEdgeError(TwinWalkError, ValueError):
 
 
 class NonPositiveWeightError(TwinWalkError, ValueError):
-    """A base-graph edge weight is zero, negative or not finite."""
+    """A base-graph edge weight is zero, negative or not finite, or the
+    weights are so large that the Laplacian's norm overflows."""
 
 
 class EqualVerticesError(TwinWalkError, ValueError):
@@ -60,10 +61,6 @@ class NotDisjointError(TwinWalkError, ValueError):
 
 class NotIntegralError(TwinWalkError, ValueError):
     """The graph is not Laplacian integral."""
-
-
-class NotTwinsError(TwinWalkError, ValueError):
-    """The designated pair is not a twin pair of the graph."""
 
 
 class PreconditionFailedError(TwinWalkError, ValueError):

@@ -23,9 +23,9 @@ from .circulant import (
 from .errors import (
     NotDisjointError,
     NotIntegralError,
-    NotTwinsError,
     PreconditionFailedError,
     SizeNotMultipleOfFourWarning,
+    TwinViolationError,
     WitnessFailedError,
 )
 from .graphs import (
@@ -130,22 +130,17 @@ def _quarter_alpha(current_weight: float) -> float:
     return alpha
 
 
-def quarter_weight_edge(G: WeightedGraph, a: int, b: int) -> FamilyInstance:
-    """Reset the (a, b) weight of a Laplacian-integral graph to 1/4.
-
-    The pair must be twins. The perturbed graph transfers perfectly between
-    a and b at 2 pi and stays periodic at every other vertex.
-    """
-    return quarter_weight_family(G, [(a, b)])
-
-
 def quarter_weight_family(
     base: WeightedGraph, pairs: list[tuple[int, int]]
 ) -> FamilyInstance:
     """Successively reset disjoint twin-pair weights of an integral graph
-    to 1/4. Integrality is required of the base only; the intermediate
-    graphs are generally not integral, but each stays periodic at 2 pi on
-    the vertices later pairs touch, which is all the construction needs.
+    to 1/4. The result transfers perfectly on every pair at 2 pi and stays
+    periodic there at every vertex no pair touches.
+
+    Integrality is required of the base only; the intermediate graphs are
+    generally not integral, but each stays periodic at 2 pi on the vertices
+    later pairs touch, which is all the construction needs. Raises
+    TwinViolationError when a pair is not twins in the graph it perturbs.
     """
     pairs = [tuple(p) for p in pairs]
     _check_disjoint(pairs)
@@ -154,7 +149,7 @@ def quarter_weight_family(
     G = base
     for a, b in pairs:
         if not is_twin_pair(G, a, b):
-            raise NotTwinsError(f"({a},{b}) is not a twin pair")
+            raise TwinViolationError(f"({a},{b}) is not a twin pair")
         G = perturb_edge(G, EdgePerturbation(a, b, _quarter_alpha(G.weight(a, b))))
     witnesses = _pair_witnesses(base.n, pairs, TWO_PI)
     return FamilyInstance(G, witnesses, "quarter-weight-edge")
@@ -204,18 +199,19 @@ def circulant_twin_edge_family(
 
 
 def verify_family(
-    fi: FamilyInstance,
-    tol: float = DEFAULT_LPST_TOL,
-    q_max: int = DEFAULT_QMAX,
-    epsilons: tuple[float, ...] = DEFAULT_EPSILONS,
+    fi: FamilyInstance, tol: float = DEFAULT_LPST_TOL, q_max: int = DEFAULT_QMAX
 ) -> list[TransferReport]:
     """Recompute every expected witness through the walk engine.
 
-    Raises WitnessFailedError at the first witness the numerics do not
-    confirm; otherwise returns one report per witness.
+    LPST and PERIODIC witnesses pass at fidelity >= 1 - tol, with tol in
+    (0, 1); PGST witnesses scan q <= q_max for every DEFAULT_EPSILONS
+    threshold and pass once the smallest is reached. Raises
+    WitnessFailedError at the first witness the numerics do not confirm;
+    otherwise returns one report per witness.
     """
-    if not tol > 0:
-        raise ValueError("tol must be positive")
+    if not 0 < tol < 1:
+        raise ValueError("tol must lie in (0, 1)")
+    eps = DEFAULT_EPSILONS[-1]
     reports = []
     for w in fi.expected_witnesses:
         if w.kind is TransferKind.LPST:
@@ -223,16 +219,14 @@ def verify_family(
         elif w.kind is TransferKind.PERIODIC:
             report = check_periodic(fi.graph, w.a, w.time, tol)
         elif w.kind is TransferKind.PGST:
-            witness = pgst_scan(fi.graph, w.a, w.b, q_max, epsilons)
-            hit = witness.achieved(epsilons[-1])
+            hit = pgst_scan(fi.graph, w.a, w.b, q_max).achieved(eps)
             if hit is None:
                 raise WitnessFailedError(
                     f"no time in (4q+1) pi/2 with q <= {q_max} reached "
-                    f"fidelity {1.0 - epsilons[-1]} for pair ({w.a},{w.b})"
+                    f"fidelity {1.0 - eps} for pair ({w.a},{w.b})"
                 )
             report = TransferReport(
-                TransferKind.PGST, w.a, w.b, hit.time, hit.fidelity,
-                hit.phase, epsilons[-1],
+                TransferKind.PGST, w.a, w.b, hit.time, hit.fidelity, hit.phase, eps
             )
         else:
             raise WitnessFailedError(f"unexpected witness kind {w.kind}")

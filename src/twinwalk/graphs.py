@@ -8,7 +8,9 @@ a graph; perturbations return new graphs.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 import numpy as np
 
@@ -38,11 +40,15 @@ class WeightedGraph:
 
     `weights` maps (u, v) with u < v to a nonzero real weight; absent pairs
     have weight 0. Zero-weight entries are never stored, so adjacency in the
-    combinatorial sense is `weight(u, v) != 0`.
+    combinatorial sense is `weight(u, v) != 0`. The graph keeps a read-only
+    view of its own copy of the mapping it is given.
     """
 
     n: int
-    weights: dict[EdgeKey, float] = field(default_factory=dict)
+    weights: Mapping[EdgeKey, float] = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "weights", MappingProxyType(dict(self.weights)))
 
     def weight(self, u: int, v: int) -> float:
         _check_vertex(self.n, u)
@@ -54,16 +60,6 @@ class WeightedGraph:
     @property
     def has_negative_weight(self) -> bool:
         return any(w < 0 for w in self.weights.values())
-
-
-@dataclass(frozen=True)
-class TwinPair:
-    """A verified twin pair a < b with its shared neighbor weights."""
-
-    a: int
-    b: int
-    adjacent: bool
-    shared_weight_profile: dict[int, float]
 
 
 @dataclass(frozen=True)
@@ -85,7 +81,8 @@ def build_graph(n: int, edge_list: list[tuple[int, int, float]]) -> WeightedGrap
     """Build a graph from (u, v, w) triples with finite positive weights.
 
     Raises IndexOutOfRangeError, SelfLoopError, DuplicateEdgeError or
-    NonPositiveWeightError on invalid input.
+    NonPositiveWeightError on invalid input; the last also when the weights
+    are so large that the squared Frobenius norm of the Laplacian overflows.
     """
     if n < 1:
         raise IndexOutOfRangeError(f"vertex count must be positive, got {n}")
@@ -103,7 +100,12 @@ def build_graph(n: int, edge_list: list[tuple[int, int, float]]) -> WeightedGrap
         if k in weights:
             raise DuplicateEdgeError(f"edge {k} listed twice")
         weights[k] = float(w)
-    return WeightedGraph(n, weights)
+    G = WeightedGraph(n, weights)
+    with np.errstate(over="ignore"):
+        L = laplacian(G)
+        if not np.isfinite((L * L).sum()):
+            raise NonPositiveWeightError("weights overflow the Laplacian's norm")
+    return G
 
 
 def adjacency(G: WeightedGraph) -> np.ndarray:
@@ -135,15 +137,14 @@ def is_twin_pair(G: WeightedGraph, a: int, b: int) -> bool:
     return bool(np.count_nonzero(A[a] != A[b]) == 2 * (A[a, b] != 0))
 
 
-def list_twin_pairs(G: WeightedGraph) -> list[TwinPair]:
+def list_twin_pairs(G: WeightedGraph) -> list[tuple[int, int]]:
     """All twin pairs (a, b) with a < b, in lexicographic order."""
     A = adjacency(G)
     pairs = []
     for a in range(G.n):
         diffs = np.count_nonzero(A[a] != A[a + 1:], axis=1)
         for b in np.flatnonzero(diffs == 2 * (A[a, a + 1:] != 0)) + a + 1:
-            profile = {int(q): float(A[a, q]) for q in np.flatnonzero(A[a]) if q != b}
-            pairs.append(TwinPair(a, int(b), bool(A[a, b] != 0), profile))
+            pairs.append((a, int(b)))
     return pairs
 
 

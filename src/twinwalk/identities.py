@@ -82,8 +82,7 @@ def run_identity_checks(
             graph, pair = random_twin_graph(rng)
         else:
             graph = G
-            twins = list_twin_pairs(graph)
-            pair = (twins[0].a, twins[0].b) if twins else None
+            pair = next(iter(list_twin_pairs(graph)), None)
         L = laplacian(graph)
         s = eigendecompose(L)
         alpha = float(rng.uniform(-2.0, 2.0))

@@ -77,12 +77,12 @@ def _offdiag_norm(A: np.ndarray) -> float:
     return float(np.sqrt((off * off).sum()))
 
 
-def _jacobi(L: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Cyclic Jacobi rotations. Returns (eigenvalues, eigenvector columns)."""
+def _jacobi(L: np.ndarray, fro: float) -> tuple[np.ndarray, np.ndarray]:
+    """Cyclic Jacobi rotations on L with Frobenius norm fro. Returns
+    (eigenvalues, eigenvector columns)."""
     A = np.array(L, dtype=float)
     n = A.shape[0]
     V = np.eye(n)
-    fro = float(np.sqrt((A * A).sum()))
     threshold = _JACOBI_OFFDIAG_FACTOR * fro
     if _offdiag_norm(A) <= threshold:
         return np.diag(A).copy(), V
@@ -122,33 +122,33 @@ def _jacobi(L: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     )
 
 
-def eigendecompose(
-    L: np.ndarray, cluster_tol: float = DEFAULT_CLUSTER_TOL
-) -> Spectrum:
+def eigendecompose(L: np.ndarray) -> Spectrum:
     """Decompose a symmetric matrix into clusters of its eigenbasis.
 
-    Sorted eigenvalues with consecutive gaps within cluster_tol * max(1,
-    ||L||_F) form one cluster, whose distinct value is their mean.
+    Sorted eigenvalues with consecutive gaps within DEFAULT_CLUSTER_TOL *
+    max(1, ||L||_F) form one cluster, whose distinct value is their mean.
+    Raises ConvergenceFailureError when L has a non-finite entry or its
+    squared Frobenius norm overflows.
     """
-    if not cluster_tol > 0:
-        raise ValueError("cluster_tol must be positive")
     L = np.asarray(L, dtype=float)
-    if not np.isfinite(L).all():
-        raise ConvergenceFailureError("matrix has non-finite entries")
-    raw, V = _jacobi(L)
+    with np.errstate(over="ignore"):
+        fro = float(np.sqrt((L * L).sum()))
+    if not np.isfinite(fro):
+        raise ConvergenceFailureError(
+            "matrix has non-finite entries or its norm overflows")
+    raw, V = _jacobi(L, fro)
     order = np.argsort(raw)
     raw = raw[order]
-    gap = cluster_tol * max(1.0, float(np.sqrt((L * L).sum())))
+    gap = DEFAULT_CLUSTER_TOL * max(1.0, fro)
     starts = np.flatnonzero(np.diff(raw, prepend=-np.inf) > gap)
     means = np.add.reduceat(raw, starts) / np.diff(starts, append=raw.size)
     return Spectrum(means, V[:, order], starts)
 
 
-def is_integral_spectrum(s: Spectrum, int_tol: float = DEFAULT_INT_TOL) -> bool:
-    """True iff every distinct eigenvalue is within int_tol of an integer."""
-    if not int_tol > 0:
-        raise ValueError("int_tol must be positive")
-    return bool(np.all(np.abs(s.values - np.round(s.values)) <= int_tol))
+def is_integral_spectrum(s: Spectrum) -> bool:
+    """True iff every distinct eigenvalue is within DEFAULT_INT_TOL of an
+    integer."""
+    return bool(np.all(np.abs(s.values - np.round(s.values)) <= DEFAULT_INT_TOL))
 
 
 def matrix_exp_oracle(H: np.ndarray, t: float) -> np.ndarray:

@@ -24,13 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EqualVerticesError, TwinViolationError
-from .graphs import (
-    TwinPair,
-    WeightedGraph,
-    is_twin_pair,
-    laplacian,
-    rank_one_matrix,
-)
+from .graphs import WeightedGraph, is_twin_pair, laplacian, rank_one_matrix
 from .spectral import Spectrum, eigendecompose, matrix_exp_oracle
 
 DEFAULT_LPST_TOL = 1e-9
@@ -139,9 +133,11 @@ def _spectrum_of(G: WeightedGraph) -> Spectrum:
 
 
 def _verdict(s: Spectrum, a: int, b: int, t: float, tol: float) -> TransferReport:
-    """LPST (a != b) or PERIODIC (a == b) at fidelity >= 1 - tol, else NONE."""
-    if not tol > 0:
-        raise ValueError("tol must be positive")
+    """LPST (a != b) or PERIODIC (a == b) at fidelity >= 1 - tol, else NONE.
+
+    tol must lie in (0, 1): at 1 or more every fidelity would pass."""
+    if not 0 < tol < 1:
+        raise ValueError("tol must lie in (0, 1)")
     if not np.isfinite(t):
         raise ValueError("t must be finite")
     mag, phase = _polar(transfer_amplitudes(s, a, b, np.array([t]))[0])
@@ -167,7 +163,7 @@ def check_periodic(
 
 
 def mixed_pair_entry_symmetry(
-    G: WeightedGraph, tw: TwinPair, q: int, times: list[float]
+    G: WeightedGraph, a: int, b: int, q: int, times: list[float]
 ) -> float:
     """max over times of |U[a, q] - U[b, q]| for the twin pair (a, b).
 
@@ -175,11 +171,11 @@ def mixed_pair_entry_symmetry(
     that no transfer between a twin and an outside vertex can exceed
     1/sqrt(2) in fidelity.
     """
-    if q in (tw.a, tw.b):
+    if q in (a, b):
         raise EqualVerticesError("q must lie outside the twin pair")
     s = _spectrum_of(G)
-    top = transfer_amplitudes(s, q, tw.a, np.asarray(times, dtype=float))
-    bot = transfer_amplitudes(s, q, tw.b, np.asarray(times, dtype=float))
+    top = transfer_amplitudes(s, q, a, np.asarray(times, dtype=float))
+    bot = transfer_amplitudes(s, q, b, np.asarray(times, dtype=float))
     return float(np.abs(top - bot).max())
 
 
@@ -299,16 +295,18 @@ def pgst_scan(
 
 
 def verify_factorization(
-    G: WeightedGraph, tw: TwinPair, alpha: float, times: list[float]
+    G: WeightedGraph, a: int, b: int, alpha: float, times: list[float]
 ) -> float:
-    """max over times of the entrywise gap between the closed-form perturbed
-    propagator and the series exponential of the perturbed Laplacian."""
+    """max over times of the entrywise gap between the closed-form propagator
+    of G with alpha added to the (a, b) edge and the series exponential of
+    the perturbed Laplacian. Raises TwinViolationError unless a and b are
+    twins in G."""
     if not np.isfinite([alpha, *times]).all():
         raise ValueError("alpha and times must be finite")
-    if not is_twin_pair(G, tw.a, tw.b):
-        raise TwinViolationError(f"({tw.a},{tw.b}) is not a twin pair of G")
+    if not is_twin_pair(G, a, b):
+        raise TwinViolationError(f"({a},{b}) is not a twin pair of G")
     L = laplacian(G)
-    M = rank_one_matrix(G.n, tw.a, tw.b)
+    M = rank_one_matrix(G.n, a, b)
     s = eigendecompose(L)
     worst = 0.0
     for t in times:

@@ -91,8 +91,8 @@ def test_criterion_2_commutation():
         checked = 0
         for G in test_graphs:
             L = laplacian(G)
-            for tw in list_twin_pairs(G):
-                M = rank_one_matrix(G.n, tw.a, tw.b)
+            for a, b in list_twin_pairs(G):
+                M = rank_one_matrix(G.n, a, b)
                 assert np.abs(L @ M - M @ L).max() < 1e-12
                 checked += 1
         assert checked > 30

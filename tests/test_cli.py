@@ -111,6 +111,13 @@ class TestCheck:
         code = main(["check", "--input", path, "--from", "0", "--to", "2"])
         assert code == 2
 
+    def test_tol_of_one_or_more_exits_2(self, tmp_path, capsys):
+        # at --tol 1.5, C4 0 -> 1 at t = 0.1 (fidelity 0.0993) passed as LPST
+        path = write(tmp_path, "g.json", C4)
+        code = main(["check", "--input", path, "--from", "0", "--to", "1",
+                     "--time", "0.1", "--tol", "1.5"])
+        assert "tol" in assert_input_error(code, capsys.readouterr())
+
     @pytest.mark.parametrize(
         "argv,option",
         [
@@ -343,6 +350,40 @@ class TestErrorsAndOutput:
         assert main(["check", "--input", str(path), "--from", "0", "--to", "2",
                      "--time", "1"]) == 2
 
+    @pytest.mark.parametrize(
+        "doc, time",
+        [
+            # the degree sum overflows: this exited 3 as a numerical failure
+            ({"n": 3, "edges": [[0, 1, 1e308], [1, 2, 1e308]]}, "1"),
+            # only the squared norm overflows: this reported fidelity 0.0
+            # (exit 1) where C4 at unit weight and t = 1 gives 0.4546
+            ({"n": 4, "edges": [[u, (u + 1) % 4, 1e160] for u in range(4)]}, "1e-160"),
+        ],
+        ids=["degree_overflows", "norm_overflows"],
+    )
+    def test_overflowing_weights_exit_2(self, tmp_path, capsys, doc, time):
+        path = write(tmp_path, "g.json", doc)
+        code = main(["check", "--input", path, "--from", "0", "--to", "1",
+                     "--time", time])
+        assert "overflow" in assert_input_error(code, capsys.readouterr())
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["check", "--from", "0", "--to", "2", "--time", "1", "--pi-multiple", "0.5"],
+            ["scan", "--from", "0", "--to", "2", "--t-max", "3", "--t-max-pi", "4"],
+        ],
+        ids=["time_and_pi_multiple", "t_max_and_t_max_pi"],
+    )
+    def test_conflicting_time_options_exit_2(self, tmp_path, capsys, argv):
+        path = write(tmp_path, "g.json", C4)
+        with pytest.raises(SystemExit) as exc:
+            main([argv[0], "--input", path, *argv[1:]])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "not allowed with argument" in captured.err
+
     def test_numerical_failure_exits_3(self, tmp_path, monkeypatch):
         from twinwalk.errors import ConvergenceFailureError
 
@@ -403,9 +444,9 @@ def cli_cases(draw):
 
 
 def well_formed(n, doc):
-    """The graph rules: integer n and endpoints, numeric finite positive
-    weights, no self loops or repeated edges."""
-    if type(doc["n"]) is not int:
+    """The graph rules: positive integer n, integer endpoints, numeric finite
+    positive weights, no self loops or repeated edges."""
+    if type(doc["n"]) is not int or doc["n"] < 1:
         return False
     seen = set()
     for e in doc["edges"]:
@@ -451,3 +492,73 @@ def test_cli_exit_codes_match_the_input(case):
                 assert code in (0, 1), (name, code, err.getvalue())
                 obj = json.loads(out.getvalue())
                 assert (obj["from"], obj["to"]) == (a, b)
+
+
+@st.composite
+def family_cases(draw):
+    """A k4n_matching, quarter_weight or circulant_twin document on at most
+    12 vertices with at most one planted flaw: a non-integer or out-of-range
+    vertex, a reused vertex, a bad base (quarter_weight) or a bad S
+    (circulant_twin). Returns (flawed, document)."""
+    kind = draw(st.sampled_from(["k4n_matching", "quarter_weight", "circulant_twin"]))
+    flaws = [None, None, "vertex_type", "vertex_range", "reuse"]
+    if kind == "circulant_twin":
+        # the power-of-two moduli and sets that meet the mod-4 class condition
+        size = draw(st.sampled_from([4, 8]))
+        sets = [[], [1, 3, 5, 7]] if size == 8 else [[]]
+        doc = {"n": size, "S": draw(st.sampled_from(sets))}
+        half = size // 2
+        pairs = [[x, x + half] if draw(st.booleans()) else [x + half, x]
+                 for x in draw(st.lists(st.integers(0, half - 1), unique=True))]
+        flaws.append("S")
+    else:
+        if kind == "k4n_matching":
+            size = 4 * draw(st.integers(1, 3))
+            doc = {"n": size // 4} if draw(st.booleans()) else {"size": size}
+        else:
+            size = draw(st.integers(1, 12))
+            doc = {"base": f"K{size}"}
+            flaws.append("base")
+        order = draw(st.permutations(range(size)))
+        pairs = [order[i:i + 2] for i in range(0, 2 * draw(st.integers(0, size // 2)), 2)]
+    flaw = draw(st.sampled_from(flaws))
+    if flaw in ("vertex_type", "vertex_range"):
+        bad = draw(st.sampled_from([1.5, "1", True, None] if flaw == "vertex_type"
+                                   else [-1, size]))
+        if pairs:
+            pairs[draw(st.integers(0, len(pairs) - 1))][draw(st.integers(0, 1))] = bad
+        else:
+            pairs.append([bad, 0])
+    elif flaw == "reuse":
+        pairs.insert(draw(st.integers(0, len(pairs))), pairs[0][::-1] if pairs else [0, 0])
+    elif flaw == "base":
+        doc["base"] = draw(st.sampled_from(
+            ["K0", "Q5", 5, {"n": 5, "edges": [[v, (v + 1) % 5] for v in range(5)]}]))
+    elif flaw == "S":
+        doc["S"] = draw(st.sampled_from([[0], [1], [1, 7], [1, 3, 5, 7.5], ["1"]]))
+    doc["family"] = kind
+    doc["matching" if kind == "k4n_matching" else "pairs"] = pairs
+    return flaw is not None, doc
+
+
+@settings(max_examples=50, deadline=None)
+@given(family_cases())
+def test_family_exit_codes_match_the_document(case):
+    """Exit 2 with a JSON error exactly for a flawed family document, and
+    otherwise a report (all witnesses pass on exit 0, none listed on 1)."""
+    flawed, doc = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "f.json"
+        path.write_text(json.dumps(doc))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["family", "--input", str(path), "--q-max", "64"])
+    if flawed:
+        assert code == 2, (code, out.getvalue())
+        assert out.getvalue() == ""
+        assert isinstance(json.loads(err.getvalue())["error"], str)
+    else:
+        assert code in (0, 1), (code, err.getvalue())
+        obj = json.loads(out.getvalue())
+        assert obj["all_passed"] is (code == 0)
+        assert obj["provenance"]

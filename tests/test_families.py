@@ -12,16 +12,15 @@ from twinwalk import (
     k4n_remove_matching,
     laplacian,
     perturb_edge,
-    quarter_weight_edge,
     quarter_weight_family,
     verify_family,
 )
 from twinwalk.errors import (
     NotDisjointError,
     NotIntegralError,
-    NotTwinsError,
     PreconditionFailedError,
     SizeNotMultipleOfFourWarning,
+    TwinViolationError,
     WitnessFailedError,
 )
 from twinwalk.families import ExpectedWitness, FamilyInstance, _quarter_alpha
@@ -99,7 +98,7 @@ class TestMatchingRemoval:
 
 class TestQuarterWeight:
     def test_k3(self):
-        fi = quarter_weight_edge(complete_graph(3), 0, 2)
+        fi = quarter_weight_family(complete_graph(3), [(0, 2)])
         assert fi.graph.weight(0, 2) == 0.25
         reports = verify_family(fi)
         assert [r.kind for r in reports] == [TransferKind.LPST, TransferKind.PERIODIC]
@@ -118,18 +117,18 @@ class TestQuarterWeight:
 
     def test_c4_nonadjacent_pair(self):
         # C_4 is Laplacian integral; (0,2) is a non-adjacent twin pair
-        fi = quarter_weight_edge(cycle_graph(4), 0, 2)
+        fi = quarter_weight_family(cycle_graph(4), [(0, 2)])
         assert fi.graph.weight(0, 2) == 0.25
         assert all(r.fidelity >= 1.0 - 1e-9 for r in verify_family(fi))
 
     def test_non_integral_rejected(self):
         with pytest.raises(NotIntegralError):
-            quarter_weight_edge(cycle_graph(5), 0, 2)
+            quarter_weight_family(cycle_graph(5), [(0, 2)])
 
     def test_non_twins_rejected(self):
         # P_3 is integral (eigenvalues 0, 1, 3) but (0,1) are not twins
-        with pytest.raises(NotTwinsError):
-            quarter_weight_edge(path_graph(3), 0, 1)
+        with pytest.raises(TwinViolationError):
+            quarter_weight_family(path_graph(3), [(0, 1)])
 
     def test_quarter_alpha_values(self):
         assert _quarter_alpha(0.0) == 0.25

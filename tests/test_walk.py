@@ -5,14 +5,12 @@ from hypothesis import given, settings, strategies as st
 from twinwalk import (
     EdgePerturbation,
     TransferKind,
-    TwinPair,
     build_circulant,
     build_graph,
     CirculantSpec,
     check_lpst,
     check_periodic,
     eigendecompose,
-    is_integral_spectrum,
     k4n_remove_matching,
     laplacian,
     list_twin_pairs,
@@ -223,32 +221,30 @@ class TestChecks:
 class TestMixedPairSymmetry:
     def test_k4_minus_edge(self):
         G = k4_minus_edge()
-        tw = TwinPair(0, 1, False, {2: 1.0, 3: 1.0})
-        dev = mixed_pair_entry_symmetry(G, tw, 2, [0.3, 1.1, PI / 2])
+        dev = mixed_pair_entry_symmetry(G, 0, 1, 2, [0.3, 1.1, PI / 2])
         assert dev < 1e-9
 
     def test_identity_time_zero(self):
         # the propagator at t = 0 is the identity, up to reconstruction noise
         G = cycle_graph(4)
-        tw = list_twin_pairs(G)[0]
-        assert mixed_pair_entry_symmetry(G, tw, 1, [0.0]) < 1e-14
+        a, b = list_twin_pairs(G)[0]
+        assert mixed_pair_entry_symmetry(G, a, b, 1, [0.0]) < 1e-14
 
     def test_c4_weighted_chord(self):
         G = perturb_edge(cycle_graph(4), EdgePerturbation(0, 2, 2.0))
-        tw = TwinPair(0, 2, True, {1: 1.0, 3: 1.0})
-        assert mixed_pair_entry_symmetry(G, tw, 1, [0.5, 2.0, PI / 2]) < 1e-9
+        assert mixed_pair_entry_symmetry(G, 0, 2, 1, [0.5, 2.0, PI / 2]) < 1e-9
 
     def test_q_inside_pair_rejected(self):
         G = cycle_graph(4)
-        tw = list_twin_pairs(G)[0]
+        a, b = list_twin_pairs(G)[0]
         with pytest.raises(EqualVerticesError):
-            mixed_pair_entry_symmetry(G, tw, tw.a, [1.0])
+            mixed_pair_entry_symmetry(G, a, b, a, [1.0])
 
     @pytest.mark.parametrize("q", [-1, 4])
     def test_q_out_of_range_rejected(self, q):
         G = cycle_graph(4)
         with pytest.raises(IndexOutOfRangeError):
-            mixed_pair_entry_symmetry(G, list_twin_pairs(G)[0], q, [1.0])
+            mixed_pair_entry_symmetry(G, *list_twin_pairs(G)[0], q, [1.0])
 
     def test_mixed_fidelity_below_inv_sqrt2(self, rng):
         G = perturb_edge(complete(8), EdgePerturbation(0, 4, -1.0))
@@ -392,25 +388,24 @@ class TestPgstScan:
 class TestFactorization:
     def test_k4_removed_edge(self):
         G = complete(4)
-        tw = list_twin_pairs(G)[0]
-        dev = verify_factorization(G, tw, -1.0, [0.1, 1.0, PI / 2, 3.0])
+        a, b = list_twin_pairs(G)[0]
+        dev = verify_factorization(G, a, b, -1.0, [0.1, 1.0, PI / 2, 3.0])
         assert dev < 1e-8
 
     def test_alpha_zero(self):
         G = cycle_graph(4)
-        tw = list_twin_pairs(G)[0]
-        assert verify_factorization(G, tw, 0.0, [0.7, 2.0]) < 1e-10
+        a, b = list_twin_pairs(G)[0]
+        assert verify_factorization(G, a, b, 0.0, [0.7, 2.0]) < 1e-10
 
     def test_c4_heavy_chord(self):
         G = cycle_graph(4)
-        tw = list_twin_pairs(G)[0]
-        assert verify_factorization(G, tw, 2.0, [PI / 2]) < 1e-8
+        a, b = list_twin_pairs(G)[0]
+        assert verify_factorization(G, a, b, 2.0, [PI / 2]) < 1e-8
 
     def test_non_twin_rejected(self):
         G = path_graph(4)
-        fake = TwinPair(0, 1, True, {})
         with pytest.raises(TwinViolationError):
-            verify_factorization(G, fake, 1.0, [1.0])
+            verify_factorization(G, 0, 1, 1.0, [1.0])
 
     @pytest.mark.parametrize(
         "alpha, times", [(np.inf, [1.0]), (NAN, [1.0]), (1.0, [NAN]), (1.0, [0.5, np.inf])]
@@ -418,23 +413,33 @@ class TestFactorization:
     def test_non_finite_alpha_or_time_rejected(self, alpha, times):
         G = cycle_graph(4)
         with pytest.raises(ValueError):
-            verify_factorization(G, list_twin_pairs(G)[0], alpha, times)
+            verify_factorization(G, *list_twin_pairs(G)[0], alpha, times)
 
 
 @pytest.mark.parametrize(
     "call",
     [
-        lambda: eigendecompose(laplacian(cycle_graph(4)), cluster_tol=NAN),
-        lambda: is_integral_spectrum(spectrum_of(cycle_graph(4)), int_tol=NAN),
         lambda: check_lpst(cycle_graph(4), 0, 2, PI / 2, tol=NAN),
         lambda: check_periodic(cycle_graph(4), 0, 2 * PI, tol=NAN),
         lambda: pst_time_scan(cycle_graph(4), 0, 2, PI, tol=NAN),
         lambda: verify_family(k4n_remove_matching(4, [(0, 1)]), tol=NAN),
         lambda: pst_time_scan(cycle_graph(4), 0, 2, NAN),
         lambda: pst_time_scan(cycle_graph(4), 0, 2, np.inf),
+        # a tol of 1 or more would pass every pair (C4 0 -> 1 at t = 0.1)
+        lambda: check_lpst(cycle_graph(4), 0, 1, 0.1, tol=1.0),
+        lambda: check_lpst(cycle_graph(4), 0, 1, 0.1, tol=1.5),
+        lambda: check_lpst(cycle_graph(4), 0, 1, 0.1, tol=np.inf),
+        lambda: pst_time_scan(cycle_graph(4), 0, 1, 0.1, tol=1.0),
+        lambda: pst_time_scan(cycle_graph(4), 0, 1, 0.1, tol=1.5),
+        lambda: pst_time_scan(cycle_graph(4), 0, 1, 0.1, tol=np.inf),
+        lambda: verify_family(k4n_remove_matching(4, [(0, 1)]), tol=1.0),
+        lambda: verify_family(k4n_remove_matching(4, [(0, 1)]), tol=1.5),
+        lambda: verify_family(k4n_remove_matching(4, [(0, 1)]), tol=np.inf),
     ],
-    ids=["cluster_tol", "int_tol", "lpst_tol", "periodic_tol", "scan_tol",
-         "family_tol", "t_max_nan", "t_max_inf"],
+    ids=["lpst_tol", "periodic_tol", "scan_tol", "family_tol", "t_max_nan",
+         "t_max_inf", "lpst_tol_1", "lpst_tol_1.5", "lpst_tol_inf", "scan_tol_1",
+         "scan_tol_1.5", "scan_tol_inf", "family_tol_1", "family_tol_1.5",
+         "family_tol_inf"],
 )
 def test_positivity_guards_reject_nan_and_inf(call):
     with pytest.raises(ValueError):
