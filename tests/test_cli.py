@@ -10,7 +10,9 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from twinwalk import identities
 from twinwalk.cli import main
+from conftest import cycle_graph
 
 C4 = {"n": 4, "edges": [[0, 1], [1, 2], [2, 3], [3, 0]]}
 P5 = {"n": 5, "edges": [[0, 1], [1, 2], [2, 3], [3, 4]]}
@@ -283,6 +285,19 @@ class TestVerifyIdentities:
 
     def test_zero_trials_rejected(self, capsys):
         assert main(["verify-identities", "--trials", "0"]) == 2
+
+    def test_given_graph_is_solved_once(self, monkeypatch):
+        calls = []
+
+        def counted(L):
+            calls.append(L)
+            return solve(L)
+
+        solve = identities.eigendecompose
+        monkeypatch.setattr(identities, "eigendecompose", counted)
+        devs = identities.run_identity_checks(cycle_graph(4), seed=3, trials=10)
+        assert len(calls) == 1
+        assert all(v < 1e-8 for v in devs.values())
 
     def test_deterministic_across_runs(self, capsys):
         code1 = main(["verify-identities", "--seed", "7", "--trials", "3"])

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -5,11 +7,13 @@ from hypothesis import given, settings, strategies as st
 from twinwalk import (
     EdgePerturbation,
     TransferKind,
+    almost_periodic_applicable,
     build_circulant,
     build_graph,
     CirculantSpec,
     check_lpst,
     check_periodic,
+    circulant_twin_edge_family,
     eigendecompose,
     k4n_remove_matching,
     laplacian,
@@ -24,6 +28,7 @@ from twinwalk import (
     pst_time_scan,
     rank_one_matrix,
     transfer_amplitudes,
+    twin_condition,
     verify_factorization,
     verify_family,
 )
@@ -32,6 +37,7 @@ from twinwalk.errors import (
     IndexOutOfRangeError,
     TwinViolationError,
 )
+from twinwalk.identities import random_twin_graph
 from conftest import cycle_graph, path_graph
 from test_graphs import complete
 
@@ -45,6 +51,21 @@ def spectrum_of(G):
 
 def k4_minus_edge():
     return perturb_edge(complete(4), EdgePerturbation(0, 1, -1.0))
+
+
+def admissible_circulants(n):
+    """Connection sets of Z_n that circulant_twin_edge_family accepts."""
+    orbits = sorted({frozenset({s, n - s}) for s in range(1, n)}, key=min)
+    specs = []
+    for r in range(1, len(orbits) + 1):
+        for combo in itertools.combinations(orbits, r):
+            spec = CirculantSpec(n, frozenset().union(*combo))
+            if almost_periodic_applicable(spec) and twin_condition(spec):
+                specs.append(spec)
+    return specs
+
+
+ADMISSIBLE_CIRCULANTS = admissible_circulants(8) + admissible_circulants(16)
 
 
 class TestPropagator:
@@ -383,6 +404,45 @@ class TestPgstScan:
             pgst_scan(G, 0, 4, epsilons=(0.1, 0.2))
         with pytest.raises(ValueError):
             pgst_scan(G, 0, 4, epsilons=(1.5, 0.1))
+        for chunk in (0, -3):  # a chunk below 1 would never advance the scan
+            with pytest.raises(ValueError, match="chunk must be at least 1"):
+                pgst_scan(G, 0, 4, q_max=10, chunk=chunk)
+
+    @pytest.mark.parametrize("S, qs", [
+        ((1, 15, 17, 31), [3, 476, 24635]),
+        ((1, 2, 14, 15, 17, 18, 30, 31), [16, 3274, 43490]),
+    ])
+    def test_ladder_on_z32_at_a_million(self, S, qs):
+        fi = circulant_twin_edge_family(CirculantSpec(32, frozenset(S)), [(0, 16)])
+        w = pgst_scan(fi.graph, 0, 16, q_max=10**6)
+        assert [h.q for h in w.epsilon_ladder] == qs
+        assert [h.time for h in w.epsilon_ladder] == [
+            (4 * q + 1) * (PI / 2) for q in qs]
+
+    @settings(max_examples=15, deadline=None)
+    @given(st.data())
+    def test_chunking_moves_no_hit(self, data):
+        # Chunk edges fall inside and across the 1024-row phase table blocks.
+        if data.draw(st.booleans()):
+            seed = data.draw(st.integers(0, 2**32 - 1))
+            G, (a, b) = random_twin_graph(np.random.default_rng(seed))
+        else:
+            spec = data.draw(st.sampled_from(ADMISSIBLE_CIRCULANTS))
+            a = data.draw(st.integers(0, spec.n // 2 - 1))
+            b = a + spec.n // 2
+            G = circulant_twin_edge_family(spec, [(a, b)]).graph
+        q_max = data.draw(st.integers(1, 3000))
+        s = spectrum_of(G)
+        # Both forms round mu_j t, each by at most eps |mu_j| t.
+        rounding = 2.0 * np.finfo(float).eps * np.abs(s.values).max()
+        ladders = []
+        for chunk in (1, 7, 1000, 1024, 1025, 65_536):
+            w = pgst_scan(G, a, b, q_max, chunk=chunk)
+            ladders.append([(h.epsilon, h.q, h.time) for h in w.epsilon_ladder])
+            for h in w.epsilon_ladder:
+                direct = abs(transfer_amplitudes(s, a, b, np.array([h.time]))[0])
+                assert abs(h.fidelity - direct) <= 1e-12 + rounding * h.time
+        assert all(ladder == ladders[0] for ladder in ladders)
 
 
 class TestFactorization:
