@@ -55,13 +55,11 @@ def is_gcd_set(n: int, S: set[int] | frozenset[int]) -> bool:
 
 def build_circulant(spec: CirculantSpec) -> WeightedGraph:
     """Weight-1 graph with u ~ v iff (u - v) mod n lies in S."""
-    weights = {}
-    for u in range(spec.n):
-        for s in spec.S:
-            v = (u + s) % spec.n
-            if u < v:
-                weights[(u, v)] = 1.0
-    return WeightedGraph(spec.n, weights)
+    A = np.zeros((spec.n, spec.n))
+    u = np.arange(spec.n)
+    for s in spec.S:
+        A[u, (u + s) % spec.n] = 1.0
+    return WeightedGraph(A)
 
 
 def adjacency_eigenvalues(spec: CirculantSpec) -> np.ndarray:

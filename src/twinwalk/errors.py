@@ -14,6 +14,10 @@ class IndexOutOfRangeError(TwinWalkError, IndexError):
     """A vertex index is outside [0, n)."""
 
 
+class WeightMatrixError(TwinWalkError, ValueError):
+    """A weight matrix is not square, finite and symmetric with zero diagonal."""
+
+
 class SelfLoopError(TwinWalkError, ValueError):
     """An edge joins a vertex to itself."""
 

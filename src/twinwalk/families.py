@@ -13,6 +13,8 @@ import math
 import warnings
 from dataclasses import dataclass
 
+import numpy as np
+
 from .circulant import (
     CirculantSpec,
     almost_periodic_applicable,
@@ -71,10 +73,7 @@ class FamilyInstance:
 
 
 def complete_graph(n: int) -> WeightedGraph:
-    if n < 1:
-        raise ValueError("complete graph needs at least one vertex")
-    weights = {(u, v): 1.0 for u in range(n) for v in range(u + 1, n)}
-    return WeightedGraph(n, weights)
+    return WeightedGraph(np.ones((n, n)) - np.eye(n))
 
 
 def _check_disjoint(pairs: list[tuple[int, int]]) -> None:

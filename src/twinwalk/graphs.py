@@ -1,15 +1,15 @@
 """Weighted graphs, twin-vertex detection, and the rank-one edge perturbation.
 
-A graph is stored as a vertex count plus a single triangle of nonzero edge
-weights keyed by (u, v) with u < v, so the adjacency and Laplacian matrices
-built from it are symmetric by construction. Library functions never mutate
-a graph; perturbations return new graphs.
+A graph is its weight matrix: a read-only, square, symmetric, finite float
+array with a zero diagonal, so the adjacency and Laplacian matrices are
+symmetric by construction and every twin test reads rows of that one array.
+Library functions never mutate a graph; perturbations return new graphs.
 """
 
 from __future__ import annotations
 
 from collections.abc import Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from types import MappingProxyType
 
 import numpy as np
@@ -20,13 +20,8 @@ from .errors import (
     IndexOutOfRangeError,
     NonPositiveWeightError,
     SelfLoopError,
+    WeightMatrixError,
 )
-
-EdgeKey = tuple[int, int]
-
-
-def _key(u: int, v: int) -> EdgeKey:
-    return (u, v) if u < v else (v, u)
 
 
 def _check_vertex(n: int, v: int) -> None:
@@ -34,32 +29,56 @@ def _check_vertex(n: int, v: int) -> None:
         raise IndexOutOfRangeError(f"vertex {v} out of range [0, {n})")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WeightedGraph:
-    """Undirected weighted graph on vertices 0..n-1.
-
-    `weights` maps (u, v) with u < v to a nonzero real weight; absent pairs
-    have weight 0. Zero-weight entries are never stored, so adjacency in the
-    combinatorial sense is `weight(u, v) != 0`. The graph keeps a read-only
-    view of its own copy of the mapping it is given.
+    """Undirected weighted graph on vertices 0..n-1, held as its weight
+    matrix: a read-only copy of the array it is given, which must be square,
+    non-empty, finite and symmetric with a zero diagonal (WeightMatrixError
+    otherwise). Absent edges have weight 0, so adjacency in the
+    combinatorial sense is `weight(u, v) != 0`. Graphs are equal when their
+    matrices are, and are not hashable.
     """
 
-    n: int
-    weights: Mapping[EdgeKey, float] = field(default_factory=dict)
+    matrix: np.ndarray
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "weights", MappingProxyType(dict(self.weights)))
+        A = np.array(self.matrix, dtype=float)
+        if (A.ndim != 2 or A.shape[0] != A.shape[1] or A.size == 0
+                or not np.isfinite(A).all() or not np.array_equal(A, A.T)
+                or np.diagonal(A).any()):
+            raise WeightMatrixError(
+                f"weight matrix of shape {A.shape} is not square, non-empty, "
+                "finite and symmetric with a zero diagonal")
+        A.flags.writeable = False
+        object.__setattr__(self, "matrix", A)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, WeightedGraph):
+            return NotImplemented
+        return np.array_equal(self.matrix, other.matrix)
+
+    def __reduce__(self):
+        # Rebuild through the constructor, which makes the copy read-only.
+        return (WeightedGraph, (self.matrix,))
+
+    @property
+    def n(self) -> int:
+        return self.matrix.shape[0]
+
+    @property
+    def weights(self) -> Mapping[tuple[int, int], float]:
+        """Read-only map from (u, v) with u < v to each nonzero weight."""
+        return MappingProxyType({(int(u), int(v)): float(self.matrix[u, v])
+                                 for u, v in zip(*np.nonzero(np.triu(self.matrix)))})
 
     def weight(self, u: int, v: int) -> float:
         _check_vertex(self.n, u)
         _check_vertex(self.n, v)
-        if u == v:
-            return 0.0
-        return self.weights.get(_key(u, v), 0.0)
+        return float(self.matrix[u, v])
 
     @property
     def has_negative_weight(self) -> bool:
-        return any(w < 0 for w in self.weights.values())
+        return bool((self.matrix < 0).any())
 
 
 @dataclass(frozen=True)
@@ -86,7 +105,7 @@ def build_graph(n: int, edge_list: list[tuple[int, int, float]]) -> WeightedGrap
     """
     if n < 1:
         raise IndexOutOfRangeError(f"vertex count must be positive, got {n}")
-    weights: dict[EdgeKey, float] = {}
+    A = np.zeros((n, n))
     for u, v, w in edge_list:
         _check_vertex(n, u)
         _check_vertex(n, v)
@@ -96,11 +115,10 @@ def build_graph(n: int, edge_list: list[tuple[int, int, float]]) -> WeightedGrap
             raise NonPositiveWeightError(
                 f"edge ({u},{v}) has weight {w}; weights must be finite and positive"
             )
-        k = _key(u, v)
-        if k in weights:
-            raise DuplicateEdgeError(f"edge {k} listed twice")
-        weights[k] = float(w)
-    G = WeightedGraph(n, weights)
+        if A[u, v]:
+            raise DuplicateEdgeError(f"edge {(min(u, v), max(u, v))} listed twice")
+        A[u, v] = A[v, u] = w
+    G = WeightedGraph(A)
     with np.errstate(over="ignore"):
         L = laplacian(G)
         if not np.isfinite((L * L).sum()):
@@ -109,17 +127,13 @@ def build_graph(n: int, edge_list: list[tuple[int, int, float]]) -> WeightedGrap
 
 
 def adjacency(G: WeightedGraph) -> np.ndarray:
-    """Symmetric weight matrix with zero diagonal."""
-    A = np.zeros((G.n, G.n))
-    for (u, v), w in G.weights.items():
-        A[u, v] = w
-        A[v, u] = w
-    return A
+    """A writable copy of the weight matrix."""
+    return G.matrix.copy()
 
 
 def laplacian(G: WeightedGraph) -> np.ndarray:
     """Degree matrix minus adjacency matrix; rows sum to zero."""
-    A = adjacency(G)
+    A = G.matrix
     return np.diag(A.sum(axis=1)) - A
 
 
@@ -133,13 +147,13 @@ def is_twin_pair(G: WeightedGraph, a: int, b: int) -> bool:
     _check_vertex(G.n, b)
     if a == b:
         raise EqualVerticesError("twin test needs two distinct vertices")
-    A = adjacency(G)
+    A = G.matrix
     return bool(np.count_nonzero(A[a] != A[b]) == 2 * (A[a, b] != 0))
 
 
 def list_twin_pairs(G: WeightedGraph) -> list[tuple[int, int]]:
     """All twin pairs (a, b) with a < b, in lexicographic order."""
-    A = adjacency(G)
+    A = G.matrix
     pairs = []
     for a in range(G.n):
         diffs = np.count_nonzero(A[a] != A[a + 1:], axis=1)
@@ -172,11 +186,6 @@ def perturb_edge(G: WeightedGraph, p: EdgePerturbation) -> WeightedGraph:
     """
     _check_vertex(G.n, p.a)
     _check_vertex(G.n, p.b)
-    k = _key(p.a, p.b)
-    weights = dict(G.weights)
-    new_w = weights.get(k, 0.0) + p.alpha
-    if new_w == 0.0:
-        weights.pop(k, None)
-    else:
-        weights[k] = new_w
-    return WeightedGraph(G.n, weights)
+    A = G.matrix.copy()
+    A[[p.a, p.b], [p.b, p.a]] += p.alpha
+    return WeightedGraph(A)

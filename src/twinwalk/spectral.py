@@ -25,6 +25,7 @@ DEFAULT_INT_TOL = 1e-6
 
 _JACOBI_OFFDIAG_FACTOR = 1e-13
 _JACOBI_MAX_SWEEPS = 100
+_JACOBI_TAU_LIMIT = 1e150
 
 _ORACLE_TAYLOR_DEGREE = 18
 _ORACLE_TARGET_NORM = 0.5
@@ -94,7 +95,9 @@ def _jacobi(L: np.ndarray, fro: float) -> tuple[np.ndarray, np.ndarray]:
                     continue
                 # Stable rotation angle (Golub & Van Loan).
                 tau = (A[q, q] - A[p, p]) / (2.0 * apq)
-                if tau >= 0.0:
+                if abs(tau) > _JACOBI_TAU_LIMIT:
+                    t = 0.5 / tau  # the limit of both forms below; tau^2 overflows
+                elif tau >= 0.0:
                     t = 1.0 / (tau + np.sqrt(1.0 + tau * tau))
                 else:
                     t = -1.0 / (-tau + np.sqrt(1.0 + tau * tau))

@@ -334,11 +334,15 @@ def verify_factorization(
     if not is_twin_pair(G, a, b):
         raise TwinViolationError(f"({a},{b}) is not a twin pair of G")
     L = laplacian(G)
-    M = rank_one_matrix(G.n, a, b)
-    s = eigendecompose(L)
-    worst = 0.0
-    for t in times:
-        closed = perturbed_propagator(s, t, M, alpha)
-        direct = matrix_exp_oracle(L + alpha * M, t)
-        worst = max(worst, float(np.abs(closed - direct).max()))
-    return worst
+    return _factorization_gap(eigendecompose(L), L, rank_one_matrix(G.n, a, b),
+                              alpha, times)
+
+
+def _factorization_gap(s: Spectrum, L: np.ndarray, M: np.ndarray,
+                       alpha: float, times: list[float] | np.ndarray) -> float:
+    """max over times of the entrywise gap between perturbed_propagator on
+    the spectrum s of L and the series exponential of H = L + alpha M."""
+    H = L + alpha * M
+    return max((float(np.abs(perturbed_propagator(s, t, M, alpha)
+                              - matrix_exp_oracle(H, t)).max())
+                for t in map(float, times)), default=0.0)

@@ -24,6 +24,7 @@ from twinwalk.errors import (
     WitnessFailedError,
 )
 from twinwalk.families import ExpectedWitness, FamilyInstance, _quarter_alpha
+from twinwalk.jsonio import family_from_obj
 from conftest import cycle_graph, path_graph
 
 PI = np.pi
@@ -44,6 +45,20 @@ class TestCompleteGraph:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             complete_graph(0)
+
+
+def test_small_jacobi_rotations_stay_finite():
+    """A family-dense document whose solve meets an off-diagonal entry far
+    below its diagonal gap: tau * tau in the rotation angle overflowed and
+    raised RuntimeWarnings (errors under this suite's settings)."""
+    fi = family_from_obj({
+        "family": "circulant_twin", "n": 32,
+        "S": [2, 4, 6, 10, 12, 14, 18, 20, 22, 26, 28, 30],
+        "pairs": [[2, 18], [7, 23], [8, 24], [14, 30]],
+    })
+    reports = verify_family(fi)
+    assert [r.kind for r in reports] == [TransferKind.LPST] * 4
+    assert all(r.time == PI / 2 and r.fidelity > 1 - 1e-9 for r in reports)
 
 
 class TestMatchingRemoval:

@@ -1,10 +1,15 @@
+import copy
+import pickle
+
 import numpy as np
 import pytest
 
 from twinwalk import (
+    CirculantSpec,
     EdgePerturbation,
     WeightedGraph,
     adjacency,
+    build_circulant,
     build_graph,
     is_twin_pair,
     laplacian,
@@ -18,7 +23,10 @@ from twinwalk.errors import (
     IndexOutOfRangeError,
     NonPositiveWeightError,
     SelfLoopError,
+    TwinWalkError,
+    WeightMatrixError,
 )
+from twinwalk.identities import random_twin_graph
 from conftest import cycle_graph, naive_twin_pairs, path_graph
 
 
@@ -68,12 +76,92 @@ class TestBuildGraph:
             build_graph(4, edges)
 
     def test_weights_are_read_only(self):
-        source = {(0, 1): 1.0}
-        G = WeightedGraph(2, source)
+        source = np.array([[0.0, 1.0], [1.0, 0.0]])
+        G = WeightedGraph(source)
         with pytest.raises(TypeError):
             G.weights[(0, 1)] = 2.0
-        source[(0, 1)] = 5.0
+        source[0, 1] = source[1, 0] = 5.0
         assert G.weight(0, 1) == 1.0
+
+
+class TestWeightMatrix:
+    @pytest.mark.parametrize(
+        "matrix",
+        [
+            np.zeros((2, 3)),                        # not square
+            np.zeros(3),                             # not a matrix
+            np.zeros((0, 0)),                        # no vertices
+            [[0.0, 1.0], [2.0, 0.0]],                # asymmetric
+            [[0.0, 1.0], [0.0, 0.0]],                # one-sided edge
+            [[0.0, np.nan], [np.nan, 0.0]],          # non-finite
+            [[0.0, np.inf], [np.inf, 0.0]],
+            [[1.0, 1.0], [1.0, 0.0]],                # self-loop on the diagonal
+        ],
+    )
+    def test_constructor_rejects(self, matrix):
+        with pytest.raises(WeightMatrixError) as info:
+            WeightedGraph(matrix)
+        assert isinstance(info.value, TwinWalkError)
+        assert isinstance(info.value, ValueError)
+
+    def graphs(self):
+        one_sided = np.zeros((3, 3))
+        one_sided[2, 1] = one_sided[1, 2] = 1.0
+        rng = np.random.default_rng(5)
+        return [
+            WeightedGraph(one_sided),
+            build_graph(4, [(2, 1, 0.5), (3, 0, 2.0)]),
+            perturb_edge(cycle_graph(5), EdgePerturbation(3, 1, -0.75)),
+            build_circulant(CirculantSpec(8, frozenset({1, 3, 5, 7}))),
+            *(random_twin_graph(rng)[0] for _ in range(5)),
+        ]
+
+    def test_weight_is_symmetric_and_matches_laplacian(self):
+        for G in self.graphs():
+            L = laplacian(G)
+            for u in range(G.n):
+                for v in range(G.n):
+                    if u != v:
+                        assert G.weight(u, v) == G.weight(v, u) == -L[u, v]
+            assert G.weights == {
+                (u, v): G.weight(u, v)
+                for u in range(G.n) for v in range(u + 1, G.n) if G.weight(u, v)
+            }
+
+    def test_weight_rejects_out_of_range(self):
+        G = cycle_graph(4)
+        for u, v in [(4, 0), (0, 4), (-1, 0)]:
+            with pytest.raises(IndexOutOfRangeError):
+                G.weight(u, v)
+
+    def test_matrix_is_a_read_only_copy(self):
+        source = np.ones((3, 3)) - np.eye(3)
+        G = WeightedGraph(source)
+        source[0, 1] = source[1, 0] = 7.0
+        assert G.weight(0, 1) == 1.0
+        with pytest.raises(ValueError):
+            G.matrix[0, 1] = 2.0
+        A = adjacency(G)
+        A[0, 1] = 3.0
+        assert G.weight(0, 1) == 1.0
+
+    @pytest.mark.parametrize("roundtrip", [
+        lambda G: pickle.loads(pickle.dumps(G)), copy.deepcopy, copy.copy,
+    ])
+    def test_roundtrip_keeps_weights_and_read_only_flag(self, roundtrip):
+        G = perturb_edge(cycle_graph(5), EdgePerturbation(0, 2, 0.25))
+        H = roundtrip(G)
+        assert H == G and H.weights == G.weights
+        assert not H.matrix.flags.writeable
+        with pytest.raises(ValueError):
+            H.matrix[0, 2] = 1.0
+
+    def test_equality_and_hashing(self):
+        assert cycle_graph(4) == cycle_graph(4)
+        assert cycle_graph(4) != path_graph(4)
+        assert cycle_graph(4) != cycle_graph(4).weights
+        with pytest.raises(TypeError):
+            hash(cycle_graph(4))
 
 
 class TestMatrices:
@@ -100,7 +188,7 @@ class TestMatrices:
         assert np.array_equal(adjacency(complete(2)), [[0, 1], [1, 0]])
 
     def test_adjacency_zero_for_empty(self):
-        assert np.array_equal(adjacency(WeightedGraph(3)), np.zeros((3, 3)))
+        assert np.array_equal(adjacency(WeightedGraph(np.zeros((3, 3)))), np.zeros((3, 3)))
 
     def test_adjacency_odd_circulant(self):
         # Cay(Z_8, {1,3,5,7}): u ~ v exactly when u - v is odd
@@ -155,7 +243,7 @@ class TestTwins:
                 for v in range(u + 1, n)
                 if rng.random() < 0.5
             ]
-            G = build_graph(n, edges) if edges else WeightedGraph(n)
+            G = build_graph(n, edges)
             for a in range(n):
                 for b in range(n):
                     if a != b:
@@ -182,7 +270,7 @@ class TestTwins:
                 for v in range(u + 1, n)
                 if rng.random() < 0.4
             ]
-            graphs.append(build_graph(n, edges) if edges else WeightedGraph(n))
+            graphs.append(build_graph(n, edges))
         for G in graphs:
             assert list_twin_pairs(G) == naive_twin_pairs(G)
 

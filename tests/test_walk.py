@@ -37,7 +37,8 @@ from twinwalk.errors import (
     IndexOutOfRangeError,
     TwinViolationError,
 )
-from twinwalk.identities import random_twin_graph
+from twinwalk import walk
+from twinwalk.identities import random_twin_graph, run_identity_checks
 from conftest import cycle_graph, path_graph
 from test_graphs import complete
 
@@ -461,6 +462,29 @@ class TestFactorization:
         G = cycle_graph(4)
         a, b = list_twin_pairs(G)[0]
         assert verify_factorization(G, a, b, 2.0, [PI / 2]) < 1e-8
+
+    def test_solves_once(self, monkeypatch):
+        calls = []
+
+        def counted(L):
+            calls.append(L)
+            return solve(L)
+
+        solve = walk.eigendecompose
+        monkeypatch.setattr(walk, "eigendecompose", counted)
+        G = complete(8)
+        assert verify_factorization(G, 0, 1, -1.0, [0.3, PI / 2, 2.0]) < 1e-8
+        assert len(calls) == 1
+
+    def test_identity_battery_runs_the_same_check(self):
+        G = perturb_edge(complete(6), EdgePerturbation(0, 3, -1.0))
+        a, b = list_twin_pairs(G)[0]
+        rng = np.random.default_rng(11)  # the battery's first draws, given G
+        alpha = float(rng.uniform(-2.0, 2.0))
+        ts = rng.uniform(0.0, 10.0, size=3)
+        devs = run_identity_checks(G, seed=11, trials=1)
+        assert devs["factorization_vs_oracle"] == verify_factorization(
+            G, a, b, alpha, list(ts))
 
     def test_non_twin_rejected(self):
         G = path_graph(4)
