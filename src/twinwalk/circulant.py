@@ -9,12 +9,7 @@ from math import gcd
 
 import numpy as np
 
-from .errors import (
-    AsymmetricSetError,
-    ContainsZeroError,
-    NotProperDivisorError,
-    OddModulusError,
-)
+from .errors import InputError
 from .graphs import WeightedGraph
 
 
@@ -27,19 +22,19 @@ class CirculantSpec:
 
     def __post_init__(self) -> None:
         if self.n < 2:
-            raise ValueError(f"modulus must be at least 2, got {self.n}")
+            raise InputError(f"modulus must be at least 2, got {self.n}")
         reduced = frozenset(s % self.n for s in self.S)
         object.__setattr__(self, "S", reduced)
         if 0 in reduced:
-            raise ContainsZeroError("connection set contains 0")
+            raise InputError("connection set contains 0")
         if frozenset((-s) % self.n for s in reduced) != reduced:
-            raise AsymmetricSetError("connection set not closed under negation")
+            raise InputError("connection set not closed under negation")
 
 
 def gcd_class(n: int, d: int) -> frozenset[int]:
     """S_n(d): the residues x in Z_n with gcd(x, n) = d, a proper divisor."""
     if d < 1 or d >= n or n % d != 0:
-        raise NotProperDivisorError(f"{d} is not a proper divisor of {n}")
+        raise InputError(f"{d} is not a proper divisor of {n}")
     return frozenset(x for x in range(n) if gcd(x, n) == d)
 
 
@@ -79,7 +74,7 @@ def laplacian_eigenvalues(spec: CirculantSpec) -> np.ndarray:
 def twin_condition(spec: CirculantSpec) -> bool:
     """True iff S = n/2 - S, i.e. every pair (x, x + n/2) is a twin pair."""
     if spec.n % 2 != 0:
-        raise OddModulusError(f"modulus {spec.n} is odd")
+        raise InputError(f"modulus {spec.n} is odd")
     half = spec.n // 2
     return frozenset((half - s) % spec.n for s in spec.S) == spec.S
 

@@ -14,12 +14,8 @@ import json
 import math
 import sys
 
-from .errors import (
-    ConvergenceFailureError,
-    ParseError,
-    TwinWalkError,
-    WitnessFailedError,
-)
+from .errors import (ConvergenceFailureError, InputError, TwinWalkError,
+                     WitnessFailedError)
 from .families import verify_family
 from .graphs import list_twin_pairs
 from .identities import run_identity_checks
@@ -74,7 +70,7 @@ def _resolve_time(args: argparse.Namespace) -> float:
         return args.pi_multiple * math.pi
     if args.time is not None:
         return args.time
-    raise ParseError("provide --time or --pi-multiple")
+    raise InputError("provide --time or --pi-multiple")
 
 
 def _cmd_twins(args: argparse.Namespace) -> int:
@@ -106,7 +102,7 @@ def _cmd_scan(args: argparse.Namespace) -> int:
         return EXIT_OK if report.kind is not TransferKind.NONE else EXIT_NO_WITNESS
     epsilons = tuple(float(e) for e in args.epsilons.split(","))
     if not all(map(math.isfinite, epsilons)):
-        raise ParseError("--epsilons must be finite numbers")
+        raise InputError("--epsilons must be finite numbers")
     witness = pgst_scan(G, a, b, args.q_max, epsilons)
     found = witness.achieved(epsilons[-1]) is not None
     obj = {
@@ -229,7 +225,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         for name, value in vars(args).items():
             if isinstance(value, float) and not math.isfinite(value):
-                raise ParseError(f"--{name.replace('_', '-')} must be a finite number")
+                raise InputError(f"--{name.replace('_', '-')} must be a finite number")
         return args.func(args)
     except ConvergenceFailureError as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)

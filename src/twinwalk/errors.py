@@ -1,8 +1,9 @@
 """Exception hierarchy for twinwalk.
 
 Every error raised by the library derives from TwinWalkError so callers can
-catch the whole family at once. Errors that correspond to bad indices or bad
-values additionally subclass the matching builtin.
+catch the whole family at once. The classes are the categories a caller can
+act on differently; the command line maps them to exit codes (InputError and
+IndexOutOfRangeError 2, ConvergenceFailureError 3, WitnessFailedError 1).
 """
 
 
@@ -10,73 +11,21 @@ class TwinWalkError(Exception):
     """Base class for all twinwalk errors."""
 
 
+class InputError(TwinWalkError, ValueError):
+    """An argument or document is rejected: malformed, out of its domain, or
+    failing a precondition of the construction it is given to."""
+
+
 class IndexOutOfRangeError(TwinWalkError, IndexError):
     """A vertex index is outside [0, n)."""
-
-
-class WeightMatrixError(TwinWalkError, ValueError):
-    """A weight matrix is not square, finite and symmetric with zero diagonal."""
-
-
-class SelfLoopError(TwinWalkError, ValueError):
-    """An edge joins a vertex to itself."""
-
-
-class DuplicateEdgeError(TwinWalkError, ValueError):
-    """The same unordered vertex pair appears twice in an edge list."""
-
-
-class NonPositiveWeightError(TwinWalkError, ValueError):
-    """A base-graph edge weight is zero, negative or not finite, or the
-    weights are so large that the Laplacian's norm overflows."""
-
-
-class EqualVerticesError(TwinWalkError, ValueError):
-    """Two vertex arguments that must differ are equal."""
 
 
 class ConvergenceFailureError(TwinWalkError, ArithmeticError):
     """The eigensolver got non-finite input or did not converge."""
 
 
-class TwinViolationError(TwinWalkError, ValueError):
-    """A vertex pair required to be twins is not."""
-
-
-class AsymmetricSetError(TwinWalkError, ValueError):
-    """A circulant connection set is not closed under negation mod n."""
-
-
-class ContainsZeroError(TwinWalkError, ValueError):
-    """A circulant connection set contains 0."""
-
-
-class NotProperDivisorError(TwinWalkError, ValueError):
-    """d does not properly divide n."""
-
-
-class OddModulusError(TwinWalkError, ValueError):
-    """An operation requiring even modulus received an odd one."""
-
-
-class NotDisjointError(TwinWalkError, ValueError):
-    """Vertex pairs that must be pairwise disjoint share a vertex."""
-
-
-class NotIntegralError(TwinWalkError, ValueError):
-    """The graph is not Laplacian integral."""
-
-
-class PreconditionFailedError(TwinWalkError, ValueError):
-    """A named family precondition does not hold."""
-
-
 class WitnessFailedError(TwinWalkError):
     """An expected transfer witness was not confirmed numerically."""
-
-
-class ParseError(TwinWalkError, ValueError):
-    """Malformed JSON input."""
 
 
 class SizeNotMultipleOfFourWarning(UserWarning):

@@ -22,14 +22,7 @@ from .circulant import (
     is_gcd_set,
     twin_condition,
 )
-from .errors import (
-    NotDisjointError,
-    NotIntegralError,
-    PreconditionFailedError,
-    SizeNotMultipleOfFourWarning,
-    TwinViolationError,
-    WitnessFailedError,
-)
+from .errors import InputError, SizeNotMultipleOfFourWarning, WitnessFailedError
 from .graphs import (
     EdgePerturbation,
     WeightedGraph,
@@ -73,6 +66,8 @@ class FamilyInstance:
 
 
 def complete_graph(n: int) -> WeightedGraph:
+    if n < 1:
+        raise InputError(f"vertex count must be positive, got {n}")
     return WeightedGraph(np.ones((n, n)) - np.eye(n))
 
 
@@ -80,7 +75,7 @@ def _check_disjoint(pairs: list[tuple[int, int]]) -> None:
     seen: set[int] = set()
     for a, b in pairs:
         if a in seen or b in seen or a == b:
-            raise NotDisjointError(f"pair ({a},{b}) reuses a vertex")
+            raise InputError(f"pair ({a},{b}) reuses a vertex")
         seen.update((a, b))
 
 
@@ -122,7 +117,7 @@ def _quarter_alpha(current_weight: float) -> float:
     # The construction needs exp(-4 i pi alpha) = -1, i.e. 4 alpha odd.
     four_alpha = 4.0 * alpha
     if four_alpha != round(four_alpha) or int(round(four_alpha)) % 2 == 0:
-        raise PreconditionFailedError(
+        raise InputError(
             f"quarter-weight increment {alpha} does not satisfy the "
             "odd-multiple phase condition"
         )
@@ -139,16 +134,16 @@ def quarter_weight_family(
     Integrality is required of the base only; the intermediate graphs are
     generally not integral, but each stays periodic at 2 pi on the vertices
     later pairs touch, which is all the construction needs. Raises
-    TwinViolationError when a pair is not twins in the graph it perturbs.
+    InputError when a pair is not twins in the graph it perturbs.
     """
     pairs = [tuple(p) for p in pairs]
     _check_disjoint(pairs)
     if not is_integral_spectrum(eigendecompose(laplacian(base))):
-        raise NotIntegralError("base graph is not Laplacian integral")
+        raise InputError("base graph is not Laplacian integral")
     G = base
     for a, b in pairs:
         if not is_twin_pair(G, a, b):
-            raise TwinViolationError(f"({a},{b}) is not a twin pair")
+            raise InputError(f"({a},{b}) is not a twin pair")
         G = perturb_edge(G, EdgePerturbation(a, b, _quarter_alpha(G.weight(a, b))))
     witnesses = _pair_witnesses(base.n, pairs, TWO_PI)
     return FamilyInstance(G, witnesses, "quarter-weight-edge")
@@ -165,12 +160,12 @@ def circulant_twin_edge_family(
     times (4q+1) pi/2.
     """
     if not almost_periodic_applicable(spec):
-        raise PreconditionFailedError(
+        raise InputError(
             "almost-periodicity criterion failed: modulus must be a power "
             "of two with all gcd-class intersections divisible by 4"
         )
     if not twin_condition(spec):
-        raise PreconditionFailedError(
+        raise InputError(
             "twin condition failed: connection set is not fixed by s -> n/2 - s"
         )
     half = spec.n // 2
@@ -178,13 +173,13 @@ def circulant_twin_edge_family(
     _check_disjoint(pairs)
     for a, b in pairs:
         if (b - a) % spec.n != half and (a - b) % spec.n != half:
-            raise PreconditionFailedError(
+            raise InputError(
                 f"pair ({a},{b}) is not antipodal (offset n/2)"
             )
     G = build_circulant(spec)
     for a, b in pairs:
         if G.weight(a, b) != 0.0:
-            raise PreconditionFailedError(f"pair ({a},{b}) is already an edge")
+            raise InputError(f"pair ({a},{b}) is already an edge")
         G = perturb_edge(G, EdgePerturbation(a, b, 1.0))
     if is_gcd_set(spec.n, spec.S):
         witnesses = tuple(
@@ -209,7 +204,7 @@ def verify_family(
     otherwise returns one report per witness.
     """
     if not 0 < tol < 1:
-        raise ValueError("tol must lie in (0, 1)")
+        raise InputError("tol must lie in (0, 1)")
     eps = DEFAULT_EPSILONS[-1]
     reports = []
     for w in fi.expected_witnesses:

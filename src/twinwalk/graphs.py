@@ -14,14 +14,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .errors import (
-    DuplicateEdgeError,
-    EqualVerticesError,
-    IndexOutOfRangeError,
-    NonPositiveWeightError,
-    SelfLoopError,
-    WeightMatrixError,
-)
+from .errors import IndexOutOfRangeError, InputError
 
 
 def _check_vertex(n: int, v: int) -> None:
@@ -33,7 +26,7 @@ def _check_vertex(n: int, v: int) -> None:
 class WeightedGraph:
     """Undirected weighted graph on vertices 0..n-1, held as its weight
     matrix: a read-only copy of the array it is given, which must be square,
-    non-empty, finite and symmetric with a zero diagonal (WeightMatrixError
+    non-empty, finite and symmetric with a zero diagonal (InputError
     otherwise). Absent edges have weight 0, so adjacency in the
     combinatorial sense is `weight(u, v) != 0`. Graphs are equal when their
     matrices are, and are not hashable.
@@ -46,7 +39,7 @@ class WeightedGraph:
         if (A.ndim != 2 or A.shape[0] != A.shape[1] or A.size == 0
                 or not np.isfinite(A).all() or not np.array_equal(A, A.T)
                 or np.diagonal(A).any()):
-            raise WeightMatrixError(
+            raise InputError(
                 f"weight matrix of shape {A.shape} is not square, non-empty, "
                 "finite and symmetric with a zero diagonal")
         A.flags.writeable = False
@@ -91,38 +84,38 @@ class EdgePerturbation:
 
     def __post_init__(self) -> None:
         if self.a == self.b:
-            raise EqualVerticesError("perturbation endpoints must differ")
+            raise InputError("perturbation endpoints must differ")
         if not np.isfinite(self.alpha):
-            raise ValueError("perturbation alpha must be finite")
+            raise InputError("perturbation alpha must be finite")
 
 
 def build_graph(n: int, edge_list: list[tuple[int, int, float]]) -> WeightedGraph:
     """Build a graph from (u, v, w) triples with finite positive weights.
 
-    Raises IndexOutOfRangeError, SelfLoopError, DuplicateEdgeError or
-    NonPositiveWeightError on invalid input; the last also when the weights
-    are so large that the squared Frobenius norm of the Laplacian overflows.
+    Raises IndexOutOfRangeError for a vertex outside [0, n) and InputError
+    for any other invalid input, also when the weights are so large that
+    the squared Frobenius norm of the Laplacian overflows.
     """
     if n < 1:
-        raise IndexOutOfRangeError(f"vertex count must be positive, got {n}")
+        raise InputError(f"vertex count must be positive, got {n}")
     A = np.zeros((n, n))
     for u, v, w in edge_list:
         _check_vertex(n, u)
         _check_vertex(n, v)
         if u == v:
-            raise SelfLoopError(f"self loop at vertex {u}")
+            raise InputError(f"self loop at vertex {u}")
         if not 0 < w < np.inf:
-            raise NonPositiveWeightError(
+            raise InputError(
                 f"edge ({u},{v}) has weight {w}; weights must be finite and positive"
             )
         if A[u, v]:
-            raise DuplicateEdgeError(f"edge {(min(u, v), max(u, v))} listed twice")
+            raise InputError(f"edge {(min(u, v), max(u, v))} listed twice")
         A[u, v] = A[v, u] = w
     G = WeightedGraph(A)
     with np.errstate(over="ignore"):
         L = laplacian(G)
         if not np.isfinite((L * L).sum()):
-            raise NonPositiveWeightError("weights overflow the Laplacian's norm")
+            raise InputError("weights overflow the Laplacian's norm")
     return G
 
 
@@ -146,7 +139,7 @@ def is_twin_pair(G: WeightedGraph, a: int, b: int) -> bool:
     _check_vertex(G.n, a)
     _check_vertex(G.n, b)
     if a == b:
-        raise EqualVerticesError("twin test needs two distinct vertices")
+        raise InputError("twin test needs two distinct vertices")
     A = G.matrix
     return bool(np.count_nonzero(A[a] != A[b]) == 2 * (A[a, b] != 0))
 
@@ -171,7 +164,7 @@ def rank_one_matrix(n: int, a: int, b: int) -> np.ndarray:
     _check_vertex(n, a)
     _check_vertex(n, b)
     if a == b:
-        raise EqualVerticesError("rank-one matrix needs two distinct vertices")
+        raise InputError("rank-one matrix needs two distinct vertices")
     M = np.zeros((n, n))
     M[a, a] = M[b, b] = 1.0
     M[a, b] = M[b, a] = -1.0

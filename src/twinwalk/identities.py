@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import InputError
 from .graphs import (
     EdgePerturbation,
     WeightedGraph,
@@ -55,7 +56,7 @@ def run_identity_checks(
     pair.
     """
     if trials < 1:
-        raise ValueError("trials must be at least 1")
+        raise InputError("trials must be at least 1")
     rng = np.random.default_rng(seed)
     devs = dict.fromkeys(
         ("perturbation_laplacian", "twin_commutation", "rank_one_power_law",

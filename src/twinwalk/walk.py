@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EqualVerticesError, TwinViolationError
+from .errors import InputError
 from .graphs import WeightedGraph, is_twin_pair, laplacian, rank_one_matrix
 from .spectral import Spectrum, eigendecompose, matrix_exp_oracle
 
@@ -122,7 +122,7 @@ def perturbed_propagator(
     verify_factorization checks that condition.
     """
     if not np.isfinite(alpha):
-        raise ValueError("alpha must be finite")
+        raise InputError("alpha must be finite")
     bracket = np.eye(s.n, dtype=complex)
     bracket += 0.5 * (np.exp(-2j * alpha * t) - 1.0) * M
     return propagator(s, t) @ bracket
@@ -146,9 +146,9 @@ def _verdict(s: Spectrum, a: int, b: int, t: float, tol: float) -> TransferRepor
 
     tol must lie in (0, 1): at 1 or more every fidelity would pass."""
     if not 0 < tol < 1:
-        raise ValueError("tol must lie in (0, 1)")
+        raise InputError("tol must lie in (0, 1)")
     if not np.isfinite(t):
-        raise ValueError("t must be finite")
+        raise InputError("t must be finite")
     mag, phase = _polar(transfer_amplitudes(s, a, b, np.array([t]))[0])
     hit = TransferKind.LPST if a != b else TransferKind.PERIODIC
     kind = hit if mag >= 1.0 - tol else TransferKind.NONE
@@ -160,7 +160,7 @@ def check_lpst(
 ) -> TransferReport:
     """Evaluate the walk at time t and report whether it transfers a -> b."""
     if a == b:
-        raise EqualVerticesError("state transfer needs two distinct vertices")
+        raise InputError("state transfer needs two distinct vertices")
     return _verdict(_spectrum_of(G), a, b, t, tol)
 
 
@@ -181,7 +181,7 @@ def mixed_pair_entry_symmetry(
     1/sqrt(2) in fidelity.
     """
     if q in (a, b):
-        raise EqualVerticesError("q must lie outside the twin pair")
+        raise InputError("q must lie outside the twin pair")
     s = _spectrum_of(G)
     top = transfer_amplitudes(s, q, a, np.asarray(times, dtype=float))
     bot = transfer_amplitudes(s, q, b, np.asarray(times, dtype=float))
@@ -208,11 +208,11 @@ def pst_time_scan(
     strictly better. Source and target must differ, as |U(t)[p, p]| -> 1 as
     t -> 0; check_periodic and pgst_scan(G, p, p) test returns to p."""
     if a == b:
-        raise EqualVerticesError("state transfer needs two distinct vertices")
+        raise InputError("state transfer needs two distinct vertices")
     if not 0 < t_max < np.inf:
-        raise ValueError("t_max must be positive and finite")
+        raise InputError("t_max must be positive and finite")
     if grid < 2:
-        raise ValueError("grid must be at least 2")
+        raise InputError("grid must be at least 2")
     s = _spectrum_of(G)
     times = np.linspace(0.0, t_max, grid + 1)[1:]
     # Not swept through a phase table as in pgst_scan: on a flat top, where
@@ -266,14 +266,14 @@ def pgst_scan(
     chunk-sized array grows with the number k of clusters.
     """
     if q_max < 1:
-        raise ValueError("q_max must be at least 1")
+        raise InputError("q_max must be at least 1")
     if chunk < 1:
-        raise ValueError("chunk must be at least 1")
+        raise InputError("chunk must be at least 1")
     eps = list(epsilons)
     if any(not 0.0 < e < 1.0 for e in eps) or any(
         x <= y for x, y in zip(eps, eps[1:])
     ):
-        raise ValueError("epsilons must be strictly decreasing within (0, 1)")
+        raise InputError("epsilons must be strictly decreasing within (0, 1)")
     s = _spectrum_of(G)
     c = s.coefficients(a, b)
     rows = min(_PHASE_TABLE_ROWS, chunk, q_max + 1)
@@ -327,12 +327,12 @@ def verify_factorization(
 ) -> float:
     """max over times of the entrywise gap between the closed-form propagator
     of G with alpha added to the (a, b) edge and the series exponential of
-    the perturbed Laplacian. Raises TwinViolationError unless a and b are
+    the perturbed Laplacian. Raises InputError unless a and b are
     twins in G."""
     if not np.isfinite([alpha, *times]).all():
-        raise ValueError("alpha and times must be finite")
+        raise InputError("alpha and times must be finite")
     if not is_twin_pair(G, a, b):
-        raise TwinViolationError(f"({a},{b}) is not a twin pair of G")
+        raise InputError(f"({a},{b}) is not a twin pair of G")
     L = laplacian(G)
     return _factorization_gap(eigendecompose(L), L, rank_one_matrix(G.n, a, b),
                               alpha, times)

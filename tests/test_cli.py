@@ -24,6 +24,8 @@ FIG4_FIRST_PANEL = {
     "edges": [[u, v] for u in range(8) for v in range(u + 1, 8) if (v - u) % 2 == 1]
     + [[0, 4]],
 }
+FAMILY_Z16 = {"family": "circulant_twin", "n": 16, "S": [2, 6, 10, 14],
+              "pairs": [[0, 8], [1, 9]]}
 Z16_PERTURBED = {
     "n": 16,
     "edges": [
@@ -323,6 +325,34 @@ class TestErrorsAndOutput:
         assert main(["twins", "--input", path]) == 2
 
     @pytest.mark.parametrize(
+        "argv, doc, phrase",
+        [
+            (["check", "--from", "0", "--to", "8", "--pi-multiple", "0.5"],
+             FAMILY_Z16, "graph document has unknown keys ['S', 'family', 'pairs']"),
+            (["twins"], FAMILY_Z16, "graph document has unknown keys"),
+            (["family"], {"family": "k4n_matching", "n": 2, "matchng": [[0, 4], [1, 5]]},
+             "k4n_matching document has unknown keys ['matchng']"),
+            (["family"], {"family": "k4n_matching", "n": 2, "size": 8, "matching": []},
+             'takes "n" or "size", not both'),
+            (["family"], {"family": "quarter_weight", "base": "K5", "pair": [[0, 2]]},
+             "quarter_weight document has unknown keys ['pair']"),
+            (["family"], {"family": "quarter_weight", "base": {"n": 5, "edge": []}},
+             "graph document has unknown keys ['edge']"),
+            (["family"], {**FAMILY_Z16, "S": [1, 7, 9, 15], "q_max": 10},
+             "circulant_twin document has unknown keys ['q_max']"),
+            (["twins"], {"circulant": {"n": 8, "S": [1, 3, 5, 7], "pairs": []}},
+             "circulant object has unknown keys ['pairs']"),
+            (["twins"], {"circulant": {"n": 8, "S": [1, 3, 5, 7]}, "n": 8},
+             "circulant document has unknown keys ['n']"),
+            (["family"], {"family": "k4n_matching", "size": -4},
+             "vertex count must be positive, got -4"),
+        ],
+    )
+    def test_unknown_keys_and_empty_sizes_exit_2(self, tmp_path, capsys, argv, doc, phrase):
+        code = main([argv[0], "--input", write(tmp_path, "doc.json", doc), *argv[1:]])
+        assert phrase in assert_input_error(code, capsys.readouterr())
+
+    @pytest.mark.parametrize(
         "command, doc",
         [
             ("twins", {"n": 4.7, "edges": [[0, 1]]}),
@@ -433,14 +463,15 @@ JSON_JUNK = [-1.5, 1.0, True, "1", None]
 @st.composite
 def cli_cases(draw):
     """A simple graph document on n <= 6 vertices with at most one flaw
-    planted among its entries, and two vertices in [-2, n + 2]."""
+    planted among its entries or keys, and two vertices in [-2, n + 2]."""
     n = draw(st.integers(1, 6))
     pairs = [[u, v] for u in range(n) for v in range(u + 1, n)]
     picks = draw(st.lists(st.integers(0, len(pairs) - 1), unique=True, max_size=6)
                  if pairs else st.just([]))
     edges = [pairs[i] + draw(st.lists(st.floats(0.1, 3.0), max_size=1)) for i in picks]
     vertex = st.integers(0, n - 1)
-    flaw = draw(st.sampled_from([None, None, "n", "endpoint", "weight", "shape", "repeat"]))
+    flaw = draw(st.sampled_from([None, None, "n", "endpoint", "weight", "shape", "repeat",
+                                 "key"]))
     if flaw == "n":
         n_field = draw(st.sampled_from([float(n), str(n), True, 0]))
     else:
@@ -455,13 +486,16 @@ def cli_cases(draw):
     if bad_edge is not None:
         edges.insert(draw(st.integers(0, len(edges))), bad_edge)
     vertex = st.one_of(vertex, vertex, st.integers(-2, n + 2))
-    return n, {"n": n_field, "edges": edges}, draw(vertex), draw(vertex)
+    doc = {"n": n_field, "edges": edges}
+    if flaw == "key":
+        doc[draw(st.sampled_from(["family", "S", "pairs", "edge"]))] = []
+    return n, doc, draw(vertex), draw(vertex)
 
 
 def well_formed(n, doc):
     """The graph rules: positive integer n, integer endpoints, numeric finite
     positive weights, no self loops or repeated edges."""
-    if type(doc["n"]) is not int or doc["n"] < 1:
+    if set(doc) != {"n", "edges"} or type(doc["n"]) is not int or doc["n"] < 1:
         return False
     seen = set()
     for e in doc["edges"]:
@@ -513,10 +547,11 @@ def test_cli_exit_codes_match_the_input(case):
 def family_cases(draw):
     """A k4n_matching, quarter_weight or circulant_twin document on at most
     12 vertices with at most one planted flaw: a non-integer or out-of-range
-    vertex, a reused vertex, a bad base (quarter_weight) or a bad S
-    (circulant_twin). Returns (flawed, document)."""
+    vertex, a reused vertex, a bad base (quarter_weight), a bad S
+    (circulant_twin) or a key the schema does not define. Returns (flawed,
+    document)."""
     kind = draw(st.sampled_from(["k4n_matching", "quarter_weight", "circulant_twin"]))
-    flaws = [None, None, "vertex_type", "vertex_range", "reuse"]
+    flaws = [None, None, "vertex_type", "vertex_range", "reuse", "key"]
     if kind == "circulant_twin":
         # the power-of-two moduli and sets that meet the mod-4 class condition
         size = draw(st.sampled_from([4, 8]))
@@ -551,6 +586,8 @@ def family_cases(draw):
             ["K0", "Q5", 5, {"n": 5, "edges": [[v, (v + 1) % 5] for v in range(5)]}]))
     elif flaw == "S":
         doc["S"] = draw(st.sampled_from([[0], [1], [1, 7], [1, 3, 5, 7.5], ["1"]]))
+    elif flaw == "key":
+        doc[draw(st.sampled_from(["matchng", "pair", "edges", "q_max"]))] = []
     doc["family"] = kind
     doc["matching" if kind == "k4n_matching" else "pairs"] = pairs
     return flaw is not None, doc

@@ -1,0 +1,142 @@
+"""The error contract: every rejected argument raises InputError (a
+TwinWalkError and a ValueError), every raise in the library names a
+TwinWalkError class, and each class maps to one command-line exit code."""
+
+import ast
+import json
+import math
+from pathlib import Path
+
+import pytest
+
+import twinwalk
+from twinwalk import (
+    CirculantSpec,
+    EdgePerturbation,
+    build_graph,
+    check_lpst,
+    check_periodic,
+    complete_graph,
+    eigendecompose,
+    laplacian,
+    perturbed_propagator,
+    pgst_scan,
+    pst_time_scan,
+    rank_one_matrix,
+    verify_factorization,
+    verify_family,
+)
+from twinwalk import errors, spectral
+from twinwalk.cli import build_parser, main
+from twinwalk.errors import (
+    ConvergenceFailureError,
+    IndexOutOfRangeError,
+    InputError,
+    TwinWalkError,
+    WitnessFailedError,
+)
+from twinwalk.families import FamilyInstance
+from twinwalk.identities import run_identity_checks
+from conftest import cycle_graph
+from test_cli import C4, write
+
+SRC = Path(twinwalk.__file__).parent
+
+
+def c4():
+    return cycle_graph(4)
+
+
+REJECTED = [
+    ("modulus", lambda: CirculantSpec(1, frozenset()), "modulus must be at least 2"),
+    ("family_tol", lambda: verify_family(FamilyInstance(c4(), (), "empty"), tol=2.0),
+     r"tol must lie in \(0, 1\)"),
+    ("edge_alpha", lambda: EdgePerturbation(0, 1, math.nan),
+     "perturbation alpha must be finite"),
+    ("trials", lambda: run_identity_checks(None, 0, 0), "trials must be at least 1"),
+    ("propagator_alpha",
+     lambda: perturbed_propagator(eigendecompose(laplacian(c4())), 1.0,
+                                  rank_one_matrix(4, 0, 2), math.inf),
+     "alpha must be finite"),
+    ("verdict_tol", lambda: check_lpst(c4(), 0, 1, 1.0, tol=2.0),
+     r"tol must lie in \(0, 1\)"),
+    ("verdict_t", lambda: check_periodic(c4(), 0, math.nan), "t must be finite"),
+    ("t_max", lambda: pst_time_scan(c4(), 0, 2, -1.0), "t_max must be positive"),
+    ("grid", lambda: pst_time_scan(c4(), 0, 2, 1.0, grid=1), "grid must be at least 2"),
+    ("q_max", lambda: pgst_scan(c4(), 0, 2, q_max=0), "q_max must be at least 1"),
+    ("chunk", lambda: pgst_scan(c4(), 0, 2, chunk=0), "chunk must be at least 1"),
+    ("epsilons", lambda: pgst_scan(c4(), 0, 2, epsilons=(0.1, 0.2)),
+     "epsilons must be strictly decreasing"),
+    ("factorization", lambda: verify_factorization(c4(), 0, 2, math.inf, [1.0]),
+     "alpha and times must be finite"),
+    ("complete_graph", lambda: complete_graph(-4),
+     "vertex count must be positive, got -4"),
+    ("build_graph", lambda: build_graph(0, []), "vertex count must be positive, got 0"),
+]
+
+
+@pytest.mark.parametrize("call, match", [r[1:] for r in REJECTED],
+                         ids=[r[0] for r in REJECTED])
+def test_rejected_argument_raises_input_error(call, match):
+    with pytest.raises(InputError, match=match) as info:
+        call()
+    assert isinstance(info.value, TwinWalkError)
+    assert isinstance(info.value, ValueError)
+
+
+def test_every_raise_names_a_twinwalk_error_and_every_class_is_used():
+    """A raise of a builtin, or an error class nothing raises, fails here."""
+    defined = {name for name, obj in vars(errors).items()
+               if isinstance(obj, type) and obj.__module__ == errors.__name__}
+    library = {name for name in defined
+               if issubclass(getattr(errors, name), TwinWalkError)}
+    used = set()
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                name = ast.unparse(exc)
+                assert name in library, f"{path.name}:{node.lineno} raises {name}"
+                used.add(name)
+            elif (isinstance(node, ast.Call)
+                  and ast.unparse(node.func) == "warnings.warn"):
+                used.update(ast.unparse(arg) for arg in node.args[1:])
+    # the base class is what callers catch; nothing raises it directly
+    assert defined - used == {"TwinWalkError"}
+
+
+Z16_PGST = {"family": "circulant_twin", "n": 16, "S": [1, 7, 9, 15], "pairs": [[0, 8]]}
+CHECK_02 = ["check", "--from", "0", "--to", "2", "--time", "1"]
+
+EXIT_TABLE = [
+    (InputError, C4, [*CHECK_02, "--tol", "2"], 2, "tol must lie in"),
+    (InputError, {**C4, "family": "k4n_matching"}, ["twins"], 2, "unknown keys"),
+    (IndexOutOfRangeError, C4, ["check", "--from", "0", "--to", "4", "--time", "1"], 2,
+     "vertex 4 out of range"),
+    (ConvergenceFailureError, C4, CHECK_02, 3, "after 0 sweeps"),
+    (WitnessFailedError, Z16_PGST, ["family", "--q-max", "1"], 1,
+     "no time in (4q+1) pi/2 with q <= 1"),
+]
+
+
+@pytest.mark.parametrize(
+    "error, doc, argv, code, phrase", EXIT_TABLE,
+    ids=["input", "input_unknown_key", "index", "convergence", "witness"],
+)
+def test_cli_exit_code_per_error_class(tmp_path, capsys, monkeypatch,
+                                       error, doc, argv, code, phrase):
+    if error is ConvergenceFailureError:
+        monkeypatch.setattr(spectral, "_JACOBI_MAX_SWEEPS", 0)  # give up at once
+    argv = [argv[0], "--input", write(tmp_path, "in.json", doc), *argv[1:]]
+    assert main(argv) == code
+    captured = capsys.readouterr()
+    if error is WitnessFailedError:
+        # the family command reports the failed witness as its verdict
+        report = json.loads(captured.out)
+        assert report["all_passed"] is False and phrase in report["error"]
+        return
+    assert captured.out == ""
+    assert phrase in json.loads(captured.err)["error"]
+    args = build_parser().parse_args(argv)
+    with pytest.raises(error):
+        args.func(args)

@@ -15,14 +15,7 @@ from twinwalk import (
     quarter_weight_family,
     verify_family,
 )
-from twinwalk.errors import (
-    NotDisjointError,
-    NotIntegralError,
-    PreconditionFailedError,
-    SizeNotMultipleOfFourWarning,
-    TwinViolationError,
-    WitnessFailedError,
-)
+from twinwalk.errors import InputError, SizeNotMultipleOfFourWarning, WitnessFailedError
 from twinwalk.families import ExpectedWitness, FamilyInstance, _quarter_alpha
 from twinwalk.jsonio import family_from_obj
 from conftest import cycle_graph, path_graph
@@ -43,7 +36,7 @@ class TestCompleteGraph:
         assert np.array_equal(L, 4 * np.eye(4) - np.ones((4, 4)))
 
     def test_rejects_empty(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InputError, match="vertex count must be positive, got 0"):
             complete_graph(0)
 
 
@@ -92,7 +85,7 @@ class TestMatchingRemoval:
         assert r.fidelity < 0.999
 
     def test_overlapping_pairs_rejected(self):
-        with pytest.raises(NotDisjointError):
+        with pytest.raises(InputError, match="reuses a vertex"):
             k4n_remove_matching(8, [(0, 4), (4, 1)])
 
     def test_successive_removals_preserve_witnesses(self):
@@ -137,19 +130,19 @@ class TestQuarterWeight:
         assert all(r.fidelity >= 1.0 - 1e-9 for r in verify_family(fi))
 
     def test_non_integral_rejected(self):
-        with pytest.raises(NotIntegralError):
+        with pytest.raises(InputError, match="not Laplacian integral"):
             quarter_weight_family(cycle_graph(5), [(0, 2)])
 
     def test_non_twins_rejected(self):
         # P_3 is integral (eigenvalues 0, 1, 3) but (0,1) are not twins
-        with pytest.raises(TwinViolationError):
+        with pytest.raises(InputError, match=r"\(0,1\) is not a twin pair"):
             quarter_weight_family(path_graph(3), [(0, 1)])
 
     def test_quarter_alpha_values(self):
         assert _quarter_alpha(0.0) == 0.25
         assert _quarter_alpha(1.0) == -0.75
         assert _quarter_alpha(0.5) == -0.25
-        with pytest.raises(PreconditionFailedError):
+        with pytest.raises(InputError, match="odd-multiple phase condition"):
             _quarter_alpha(0.3)
 
     def test_phase_condition_is_odd_half_turn(self):
@@ -191,30 +184,30 @@ class TestCirculantTwinEdges:
         assert abs(reports[0].phase - direct.phase) < 1e-12
 
     def test_non_power_of_two_rejected(self):
-        with pytest.raises(PreconditionFailedError):
+        with pytest.raises(InputError, match="almost-periodicity criterion failed"):
             circulant_twin_edge_family(
                 CirculantSpec(12, frozenset({1, 5, 7, 11})), [(0, 6)]
             )
 
     def test_mod_four_violation_rejected(self):
-        with pytest.raises(PreconditionFailedError):
+        with pytest.raises(InputError, match="almost-periodicity criterion failed"):
             circulant_twin_edge_family(CirculantSpec(8, frozenset({1, 7})), [(0, 4)])
 
     def test_twin_condition_violation_rejected(self):
         # mod-4 count holds but 8 - S != S
-        with pytest.raises(PreconditionFailedError):
+        with pytest.raises(InputError, match="twin condition failed"):
             circulant_twin_edge_family(
                 CirculantSpec(16, frozenset({1, 15, 3, 13})), [(0, 8)]
             )
 
     def test_non_antipodal_pair_rejected(self):
-        with pytest.raises(PreconditionFailedError):
+        with pytest.raises(InputError, match="is not antipodal"):
             circulant_twin_edge_family(
                 CirculantSpec(8, frozenset({1, 3, 5, 7})), [(0, 3)]
             )
 
     def test_vertex_reuse_rejected(self):
-        with pytest.raises(NotDisjointError):
+        with pytest.raises(InputError, match="reuses a vertex"):
             circulant_twin_edge_family(
                 CirculantSpec(8, frozenset({1, 3, 5, 7})), [(0, 4), (4, 0)]
             )
@@ -245,5 +238,5 @@ class TestVerifyFamily:
 
     def test_tolerance_validation(self):
         fi = FamilyInstance(cycle_graph(4), (), "empty")
-        with pytest.raises(ValueError):
+        with pytest.raises(InputError, match="tol must lie in"):
             verify_family(fi, tol=-1.0)

@@ -32,11 +32,7 @@ from twinwalk import (
     verify_factorization,
     verify_family,
 )
-from twinwalk.errors import (
-    EqualVerticesError,
-    IndexOutOfRangeError,
-    TwinViolationError,
-)
+from twinwalk.errors import IndexOutOfRangeError, InputError
 from twinwalk import walk
 from twinwalk.identities import random_twin_graph, run_identity_checks
 from conftest import cycle_graph, path_graph
@@ -219,7 +215,7 @@ class TestChecks:
             check_periodic(cycle_graph(4), 0, t)
 
     def test_check_lpst_errors(self):
-        with pytest.raises(EqualVerticesError):
+        with pytest.raises(InputError, match="two distinct vertices"):
             check_lpst(cycle_graph(4), 1, 1, PI)
         with pytest.raises(ValueError):
             check_lpst(cycle_graph(4), 0, 1, PI, tol=0.0)
@@ -259,7 +255,7 @@ class TestMixedPairSymmetry:
     def test_q_inside_pair_rejected(self):
         G = cycle_graph(4)
         a, b = list_twin_pairs(G)[0]
-        with pytest.raises(EqualVerticesError):
+        with pytest.raises(InputError, match="q must lie outside the twin pair"):
             mixed_pair_entry_symmetry(G, a, b, a, [1.0])
 
     @pytest.mark.parametrize("q", [-1, 4])
@@ -334,7 +330,7 @@ class TestPstTimeScan:
     def test_equal_vertices_rejected(self):
         # C4 returns to 0 only at pi; a scan over (0, 1] used to report a
         # return at t ~ 1e-24, where the walk has not left the vertex
-        with pytest.raises(EqualVerticesError):
+        with pytest.raises(InputError, match="two distinct vertices"):
             pst_time_scan(cycle_graph(4), 0, 0, 1.0)
 
     @pytest.mark.parametrize("a, b", [(0, 4), (-1, 2), (4, 0)])
@@ -486,9 +482,16 @@ class TestFactorization:
         assert devs["factorization_vs_oracle"] == verify_factorization(
             G, a, b, alpha, list(ts))
 
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.floats(-2.0, 2.0),
+           st.lists(st.floats(0.0, 10.0), min_size=3, max_size=3))
+    def test_factorization_matches_oracle_on_random_twins(self, seed, alpha, ts):
+        G, (a, b) = random_twin_graph(np.random.default_rng(seed))
+        assert verify_factorization(G, a, b, alpha, ts) < 1e-8
+
     def test_non_twin_rejected(self):
         G = path_graph(4)
-        with pytest.raises(TwinViolationError):
+        with pytest.raises(InputError, match=r"\(0,1\) is not a twin pair of G"):
             verify_factorization(G, 0, 1, 1.0, [1.0])
 
     @pytest.mark.parametrize(
