@@ -22,9 +22,7 @@ from .families import (
     verify_family,
 )
 from .graphs import (
-    EdgePerturbation,
     WeightedGraph,
-    adjacency,
     build_graph,
     is_twin_pair,
     laplacian,

@@ -13,6 +13,7 @@ import argparse
 import json
 import math
 import sys
+import warnings
 
 from .errors import (ConvergenceFailureError, InputError, TwinWalkError,
                      WitnessFailedError)
@@ -24,7 +25,6 @@ from .walk import (
     DEFAULT_EPSILONS,
     DEFAULT_LPST_TOL,
     DEFAULT_QMAX,
-    DEFAULT_SCAN_GRID,
     TransferKind,
     TransferReport,
     check_lpst,
@@ -59,8 +59,11 @@ def _report_obj(r: TransferReport) -> dict:
 def _emit(obj: dict, out: str | None) -> None:
     text = json.dumps(obj, indent=2, sort_keys=True)
     if out:
-        with open(out, "w") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(out, "w") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            raise InputError(f"cannot write {out}: {exc}") from exc
     else:
         print(text)
 
@@ -95,16 +98,13 @@ def _cmd_scan(args: argparse.Namespace) -> int:
     a, b = args.from_vertex, args.to_vertex
     if args.mode == "pst":
         t_max = args.t_max if args.t_max is not None else args.t_max_pi * math.pi
-        report = pst_time_scan(G, a, b, t_max, args.grid, args.tol)
+        report = pst_time_scan(G, a, b, t_max, args.tol)
         obj = _report_obj(report)
         obj["mode"] = "pst"
         _emit(obj, args.out)
         return EXIT_OK if report.kind is not TransferKind.NONE else EXIT_NO_WITNESS
-    epsilons = tuple(float(e) for e in args.epsilons.split(","))
-    if not all(map(math.isfinite, epsilons)):
-        raise InputError("--epsilons must be finite numbers")
-    witness = pgst_scan(G, a, b, args.q_max, epsilons)
-    found = witness.achieved(epsilons[-1]) is not None
+    witness = pgst_scan(G, a, b, args.q_max)
+    found = witness.achieved(DEFAULT_EPSILONS[-1]) is not None
     obj = {
         "mode": "pgst",
         "kind": "PGST" if found else "NONE",
@@ -197,10 +197,7 @@ def build_parser() -> argparse.ArgumentParser:
     horizon.add_argument("--t-max", type=float, default=None)
     horizon.add_argument("--t-max-pi", type=float, default=4.0,
                          help="scan horizon as a multiple of pi (pst mode)")
-    p.add_argument("--grid", type=int, default=DEFAULT_SCAN_GRID)
     p.add_argument("--q-max", type=int, default=DEFAULT_QMAX)
-    p.add_argument("--epsilons", default=",".join(str(e) for e in DEFAULT_EPSILONS),
-                   help="comma-separated decreasing thresholds (pgst mode)")
     p.add_argument("--tol", type=float, default=DEFAULT_LPST_TOL)
     p.set_defaults(func=_cmd_scan)
 
@@ -220,19 +217,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _warn_as_json(message, category, filename, lineno, file=None, line=None) -> None:
+    print(json.dumps({"warning": str(message)}), file=sys.stderr)
+
+
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    try:
-        for name, value in vars(args).items():
-            if isinstance(value, float) and not math.isfinite(value):
-                raise InputError(f"--{name.replace('_', '-')} must be a finite number")
-        return args.func(args)
-    except ConvergenceFailureError as exc:
-        print(json.dumps({"error": str(exc)}), file=sys.stderr)
-        return EXIT_NUMERIC
-    except (TwinWalkError, ValueError) as exc:
-        print(json.dumps({"error": str(exc)}), file=sys.stderr)
-        return EXIT_INPUT
+    with warnings.catch_warnings():
+        warnings.showwarning = _warn_as_json
+        try:
+            for name, value in vars(args).items():
+                if isinstance(value, float) and not math.isfinite(value):
+                    raise InputError(f"--{name.replace('_', '-')} must be a finite number")
+            return args.func(args)
+        except ConvergenceFailureError as exc:
+            print(json.dumps({"error": str(exc)}), file=sys.stderr)
+            return EXIT_NUMERIC
+        # numpy raises ValueError for some inputs, e.g. a huge "n" or a negative --seed
+        except (TwinWalkError, ValueError) as exc:
+            print(json.dumps({"error": str(exc)}), file=sys.stderr)
+            return EXIT_INPUT
 
 
 if __name__ == "__main__":

@@ -24,7 +24,6 @@ from .circulant import (
 )
 from .errors import InputError, SizeNotMultipleOfFourWarning, WitnessFailedError
 from .graphs import (
-    EdgePerturbation,
     WeightedGraph,
     is_twin_pair,
     laplacian,
@@ -101,7 +100,7 @@ def k4n_remove_matching(
     _check_disjoint(matching)
     G = complete_graph(size)
     for a, b in matching:
-        G = perturb_edge(G, EdgePerturbation(a, b, -1.0))
+        G = perturb_edge(G, a, b, -1.0)
     if size % 4 != 0:
         warnings.warn(
             f"size {size} is not a multiple of 4; no transfer witnesses",
@@ -144,7 +143,7 @@ def quarter_weight_family(
     for a, b in pairs:
         if not is_twin_pair(G, a, b):
             raise InputError(f"({a},{b}) is not a twin pair")
-        G = perturb_edge(G, EdgePerturbation(a, b, _quarter_alpha(G.weight(a, b))))
+        G = perturb_edge(G, a, b, _quarter_alpha(G.weight(a, b)))
     witnesses = _pair_witnesses(base.n, pairs, TWO_PI)
     return FamilyInstance(G, witnesses, "quarter-weight-edge")
 
@@ -177,10 +176,9 @@ def circulant_twin_edge_family(
                 f"pair ({a},{b}) is not antipodal (offset n/2)"
             )
     G = build_circulant(spec)
+    # S = n/2 - S and 0 not in S keep n/2 out of S: no pair is an edge yet.
     for a, b in pairs:
-        if G.weight(a, b) != 0.0:
-            raise InputError(f"pair ({a},{b}) is already an edge")
-        G = perturb_edge(G, EdgePerturbation(a, b, 1.0))
+        G = perturb_edge(G, a, b, 1.0)
     if is_gcd_set(spec.n, spec.S):
         witnesses = tuple(
             ExpectedWitness(TransferKind.LPST, a, b, HALF_PI) for a, b in pairs

@@ -69,25 +69,6 @@ class WeightedGraph:
         _check_vertex(self.n, v)
         return float(self.matrix[u, v])
 
-    @property
-    def has_negative_weight(self) -> bool:
-        return bool((self.matrix < 0).any())
-
-
-@dataclass(frozen=True)
-class EdgePerturbation:
-    """Increment the (a, b) edge weight by alpha."""
-
-    a: int
-    b: int
-    alpha: float
-
-    def __post_init__(self) -> None:
-        if self.a == self.b:
-            raise InputError("perturbation endpoints must differ")
-        if not np.isfinite(self.alpha):
-            raise InputError("perturbation alpha must be finite")
-
 
 def build_graph(n: int, edge_list: list[tuple[int, int, float]]) -> WeightedGraph:
     """Build a graph from (u, v, w) triples with finite positive weights.
@@ -117,11 +98,6 @@ def build_graph(n: int, edge_list: list[tuple[int, int, float]]) -> WeightedGrap
         if not np.isfinite((L * L).sum()):
             raise InputError("weights overflow the Laplacian's norm")
     return G
-
-
-def adjacency(G: WeightedGraph) -> np.ndarray:
-    """A writable copy of the weight matrix."""
-    return G.matrix.copy()
 
 
 def laplacian(G: WeightedGraph) -> np.ndarray:
@@ -171,14 +147,18 @@ def rank_one_matrix(n: int, a: int, b: int) -> np.ndarray:
     return M
 
 
-def perturb_edge(G: WeightedGraph, p: EdgePerturbation) -> WeightedGraph:
+def perturb_edge(G: WeightedGraph, a: int, b: int, alpha: float) -> WeightedGraph:
     """Return a copy of G with weight(a, b) increased by alpha.
 
     A resulting weight of exactly zero removes the edge. Negative results
-    are kept (and flagged via `has_negative_weight`), not rejected.
+    are kept, not rejected.
     """
-    _check_vertex(G.n, p.a)
-    _check_vertex(G.n, p.b)
+    if a == b:
+        raise InputError("perturbation endpoints must differ")
+    if not np.isfinite(alpha):
+        raise InputError("perturbation alpha must be finite")
+    _check_vertex(G.n, a)
+    _check_vertex(G.n, b)
     A = G.matrix.copy()
-    A[[p.a, p.b], [p.b, p.a]] += p.alpha
+    A[[a, b], [b, a]] += alpha
     return WeightedGraph(A)

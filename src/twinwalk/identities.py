@@ -11,7 +11,6 @@ import numpy as np
 
 from .errors import InputError
 from .graphs import (
-    EdgePerturbation,
     WeightedGraph,
     laplacian,
     list_twin_pairs,
@@ -89,7 +88,7 @@ def run_identity_checks(
             for k in range(2, 7):
                 power = power @ M
                 bump("rank_one_power_law", np.abs(power - 2.0 ** (k - 1) * M).max())
-            perturbed = perturb_edge(graph, EdgePerturbation(a, b, alpha))
+            perturbed = perturb_edge(graph, a, b, alpha)
             bump("perturbation_laplacian",
                  np.abs(laplacian(perturbed) - (L + alpha * M)).max())
             bump("factorization_vs_oracle", _factorization_gap(s, L, M, alpha, ts))

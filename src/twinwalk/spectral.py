@@ -18,7 +18,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ConvergenceFailureError, IndexOutOfRangeError
+from .errors import ConvergenceFailureError, IndexOutOfRangeError, InputError
 
 DEFAULT_CLUSTER_TOL = 1e-8
 DEFAULT_INT_TOL = 1e-6
@@ -69,6 +69,8 @@ class Spectrum:
 
     def unitary(self, t: float) -> np.ndarray:
         """exp(-i t L) = V diag(exp(-i mu t)) V^T."""
+        if not np.isfinite(t):
+            raise InputError("t must be finite")
         phases = np.repeat(np.exp(-1j * self.values * t), self.multiplicities)
         return (self.vectors * phases) @ self.vectors.T
 

@@ -11,7 +11,6 @@ import pytest
 
 from twinwalk import (
     CirculantSpec,
-    EdgePerturbation,
     TransferKind,
     adjacency_eigenvalues,
     almost_periodic_applicable,
@@ -81,8 +80,8 @@ def test_criterion_2_commutation():
             path_graph(3),
             build_circulant(CirculantSpec(8, frozenset({1, 3, 5, 7}))),
             build_circulant(CirculantSpec(16, frozenset({1, 7, 9, 15}))),
-            perturb_edge(complete_graph(8), EdgePerturbation(0, 4, -1.0)),
-            perturb_edge(cycle_graph(4), EdgePerturbation(0, 2, 2.0)),
+            perturb_edge(complete_graph(8), 0, 4, -1.0),
+            perturb_edge(cycle_graph(4), 0, 2, 2.0),
         ]
         rng = np.random.default_rng(7)
         for _ in range(10):
@@ -150,7 +149,7 @@ def test_criterion_4_quarter_weight():
 
 def test_criterion_5_cycle_with_heavy_chord():
     with criterion("5 C_4 plus weight-2 chord keeps transfer at pi/2"):
-        G = perturb_edge(cycle_graph(4), EdgePerturbation(0, 2, 2.0))
+        G = perturb_edge(cycle_graph(4), 0, 2, 2.0)
         r = check_lpst(G, 0, 2, PI / 2, tol=1e-9)
         assert r.kind is TransferKind.LPST
         assert r.fidelity >= 1.0 - 1e-9
@@ -169,7 +168,7 @@ def test_criterion_6_complete_graph_bound():
 
 def test_criterion_7_mixed_pair_obstruction():
     with criterion("7 mixed-pair entry symmetry on K_8 minus one edge"):
-        G = perturb_edge(complete_graph(8), EdgePerturbation(0, 4, -1.0))
+        G = perturb_edge(complete_graph(8), 0, 4, -1.0)
         s = eigendecompose(laplacian(G))
         ts = np.linspace(0.0, 10.0, 100)
         for q in (1, 2, 3, 5, 6, 7):
@@ -185,7 +184,7 @@ def test_criterion_8_successive_circulant_edges():
         pairs = [(0, 4), (1, 5), (2, 6), (3, 7)]
         G = build_circulant(CirculantSpec(8, frozenset({1, 3, 5, 7})))
         for i, (a, b) in enumerate(pairs):
-            G = perturb_edge(G, EdgePerturbation(a, b, 1.0))
+            G = perturb_edge(G, a, b, 1.0)
             for x, y in pairs[: i + 1]:
                 r = check_lpst(G, x, y, PI / 2, tol=1e-9)
                 assert r.kind is TransferKind.LPST, f"pair ({x},{y}) after step {i}"
@@ -202,7 +201,7 @@ def test_criterion_9_pgst_scan():
         assert almost_periodic_applicable(spec)
         assert twin_condition(spec)
         assert mod_four_condition(spec)
-        G = perturb_edge(build_circulant(spec), EdgePerturbation(0, 8, 1.0))
+        G = perturb_edge(build_circulant(spec), 0, 8, 1.0)
         witness = pgst_scan(G, 0, 8, q_max=10**6, epsilons=(1e-1, 1e-2, 1e-3))
         hit = witness.achieved(1e-3)
         assert hit is not None

@@ -3,7 +3,6 @@ import pytest
 
 from twinwalk import (
     CirculantSpec,
-    adjacency,
     adjacency_eigenvalues,
     almost_periodic_applicable,
     build_circulant,
@@ -105,7 +104,7 @@ class TestAnalyticEigenvalues:
             for _ in range(20):
                 S = random_symmetric_set(rng, n)
                 spec = CirculantSpec(n, S)
-                A = adjacency(build_circulant(spec))
+                A = build_circulant(spec).matrix
                 s = eigendecompose(A)
                 jacobi = np.repeat(s.values, s.multiplicities)
                 analytic = np.sort(adjacency_eigenvalues(spec))
@@ -151,6 +150,8 @@ class TestPredicates:
                 G = build_circulant(spec)
                 for x in range(n // 2):
                     assert is_twin_pair(G, x, x + n // 2)
+                    # so the circulant twin-edge family never meets an edge
+                    assert G.weight(x, x + n // 2) == 0.0
             assert found > 0
 
 

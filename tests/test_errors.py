@@ -12,17 +12,21 @@ import pytest
 import twinwalk
 from twinwalk import (
     CirculantSpec,
-    EdgePerturbation,
     build_graph,
     check_lpst,
     check_periodic,
     complete_graph,
     eigendecompose,
     laplacian,
+    mixed_pair_entry_symmetry,
+    perturb_edge,
     perturbed_propagator,
     pgst_scan,
+    phase_alignment,
+    propagator,
     pst_time_scan,
     rank_one_matrix,
+    transfer_amplitudes,
     verify_factorization,
     verify_family,
 )
@@ -47,28 +51,41 @@ def c4():
     return cycle_graph(4)
 
 
+def c4_spectrum():
+    return eigendecompose(laplacian(c4()))
+
+
 REJECTED = [
     ("modulus", lambda: CirculantSpec(1, frozenset()), "modulus must be at least 2"),
     ("family_tol", lambda: verify_family(FamilyInstance(c4(), (), "empty"), tol=2.0),
      r"tol must lie in \(0, 1\)"),
-    ("edge_alpha", lambda: EdgePerturbation(0, 1, math.nan),
+    ("edge_alpha", lambda: perturb_edge(c4(), 0, 1, math.nan),
      "perturbation alpha must be finite"),
     ("trials", lambda: run_identity_checks(None, 0, 0), "trials must be at least 1"),
     ("propagator_alpha",
-     lambda: perturbed_propagator(eigendecompose(laplacian(c4())), 1.0,
-                                  rank_one_matrix(4, 0, 2), math.inf),
+     lambda: perturbed_propagator(c4_spectrum(), 1.0, rank_one_matrix(4, 0, 2), math.inf),
      "alpha must be finite"),
+    ("perturbed_t",
+     lambda: perturbed_propagator(c4_spectrum(), math.nan, rank_one_matrix(4, 0, 2), 1.0),
+     "t must be finite"),
+    ("propagator_t", lambda: propagator(c4_spectrum(), math.inf), "t must be finite"),
+    ("amplitudes_t", lambda: transfer_amplitudes(c4_spectrum(), 0, 2, [1.0, math.nan]),
+     "t must be finite"),
+    ("alignment_t", lambda: phase_alignment(c4_spectrum(), -math.inf), "t must be finite"),
+    ("mixed_pair_t", lambda: mixed_pair_entry_symmetry(c4(), 0, 2, 1, [math.nan]),
+     "t must be finite"),
     ("verdict_tol", lambda: check_lpst(c4(), 0, 1, 1.0, tol=2.0),
      r"tol must lie in \(0, 1\)"),
     ("verdict_t", lambda: check_periodic(c4(), 0, math.nan), "t must be finite"),
     ("t_max", lambda: pst_time_scan(c4(), 0, 2, -1.0), "t_max must be positive"),
-    ("grid", lambda: pst_time_scan(c4(), 0, 2, 1.0, grid=1), "grid must be at least 2"),
     ("q_max", lambda: pgst_scan(c4(), 0, 2, q_max=0), "q_max must be at least 1"),
     ("chunk", lambda: pgst_scan(c4(), 0, 2, chunk=0), "chunk must be at least 1"),
     ("epsilons", lambda: pgst_scan(c4(), 0, 2, epsilons=(0.1, 0.2)),
      "epsilons must be strictly decreasing"),
     ("factorization", lambda: verify_factorization(c4(), 0, 2, math.inf, [1.0]),
-     "alpha and times must be finite"),
+     "alpha must be finite"),
+    ("factorization_t", lambda: verify_factorization(c4(), 0, 2, 1.0, [math.nan]),
+     "t must be finite"),
     ("complete_graph", lambda: complete_graph(-4),
      "vertex count must be positive, got -4"),
     ("build_graph", lambda: build_graph(0, []), "vertex count must be positive, got 0"),
@@ -116,12 +133,13 @@ EXIT_TABLE = [
     (ConvergenceFailureError, C4, CHECK_02, 3, "after 0 sweeps"),
     (WitnessFailedError, Z16_PGST, ["family", "--q-max", "1"], 1,
      "no time in (4q+1) pi/2 with q <= 1"),
+    (InputError, C4, ["twins", "--out", "."], 2, "cannot write ."),  # a directory
 ]
 
 
 @pytest.mark.parametrize(
     "error, doc, argv, code, phrase", EXIT_TABLE,
-    ids=["input", "input_unknown_key", "index", "convergence", "witness"],
+    ids=["input", "input_unknown_key", "index", "convergence", "witness", "output"],
 )
 def test_cli_exit_code_per_error_class(tmp_path, capsys, monkeypatch,
                                        error, doc, argv, code, phrase):

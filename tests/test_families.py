@@ -3,7 +3,6 @@ import pytest
 
 from twinwalk import (
     CirculantSpec,
-    EdgePerturbation,
     TransferKind,
     check_lpst,
     check_periodic,
@@ -94,7 +93,7 @@ class TestMatchingRemoval:
         matching = [(0, 4), (1, 5), (2, 6), (3, 7)]
         G = complete_graph(8)
         for i, (a, b) in enumerate(matching):
-            G = perturb_edge(G, EdgePerturbation(a, b, -1.0))
+            G = perturb_edge(G, a, b, -1.0)
             done = matching[: i + 1]
             for x, y in done:
                 assert check_lpst(G, x, y, PI / 2).fidelity >= 1.0 - 1e-9
@@ -217,7 +216,7 @@ class TestCirculantTwinEdges:
         fi1 = circulant_twin_edge_family(
             CirculantSpec(8, frozenset({1, 3, 5, 7})), [(0, 4)]
         )
-        G2 = perturb_edge(fi1.graph, EdgePerturbation(1, 5, 1.0))
+        G2 = perturb_edge(fi1.graph, 1, 5, 1.0)
         assert check_lpst(G2, 0, 4, PI / 2).kind is TransferKind.LPST
         assert check_lpst(G2, 1, 5, PI / 2).kind is TransferKind.LPST
 

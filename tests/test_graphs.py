@@ -6,9 +6,7 @@ import pytest
 
 from twinwalk import (
     CirculantSpec,
-    EdgePerturbation,
     WeightedGraph,
-    adjacency,
     build_circulant,
     build_graph,
     is_twin_pair,
@@ -108,7 +106,7 @@ class TestWeightMatrix:
         return [
             WeightedGraph(one_sided),
             build_graph(4, [(2, 1, 0.5), (3, 0, 2.0)]),
-            perturb_edge(cycle_graph(5), EdgePerturbation(3, 1, -0.75)),
+            perturb_edge(cycle_graph(5), 3, 1, -0.75),
             build_circulant(CirculantSpec(8, frozenset({1, 3, 5, 7}))),
             *(random_twin_graph(rng)[0] for _ in range(5)),
         ]
@@ -138,15 +136,12 @@ class TestWeightMatrix:
         assert G.weight(0, 1) == 1.0
         with pytest.raises(ValueError):
             G.matrix[0, 1] = 2.0
-        A = adjacency(G)
-        A[0, 1] = 3.0
-        assert G.weight(0, 1) == 1.0
 
     @pytest.mark.parametrize("roundtrip", [
         lambda G: pickle.loads(pickle.dumps(G)), copy.deepcopy, copy.copy,
     ])
     def test_roundtrip_keeps_weights_and_read_only_flag(self, roundtrip):
-        G = perturb_edge(cycle_graph(5), EdgePerturbation(0, 2, 0.25))
+        G = perturb_edge(cycle_graph(5), 0, 2, 0.25)
         H = roundtrip(G)
         assert H == G and H.weights == G.weights
         assert not H.matrix.flags.writeable
@@ -182,10 +177,10 @@ class TestMatrices:
         assert np.array_equal(L.sum(axis=1), np.zeros(4))
 
     def test_adjacency_k2(self):
-        assert np.array_equal(adjacency(complete(2)), [[0, 1], [1, 0]])
+        assert np.array_equal(complete(2).matrix, [[0, 1], [1, 0]])
 
     def test_adjacency_zero_for_empty(self):
-        assert np.array_equal(adjacency(WeightedGraph(np.zeros((3, 3)))), np.zeros((3, 3)))
+        assert np.array_equal(WeightedGraph(np.zeros((3, 3))).matrix, np.zeros((3, 3)))
 
     def test_adjacency_odd_circulant(self):
         # Cay(Z_8, {1,3,5,7}): u ~ v exactly when u - v is odd
@@ -195,7 +190,7 @@ class TestMatrices:
             for v in range(u + 1, 8)
             if (u - v) % 2 == 1
         ]
-        A = adjacency(build_graph(8, edges))
+        A = build_graph(8, edges).matrix
         for u in range(8):
             for v in range(8):
                 assert A[u, v] == (1.0 if (u - v) % 2 == 1 else 0.0)
@@ -304,29 +299,37 @@ class TestRankOne:
 
 class TestPerturbEdge:
     def test_c4_chord(self):
-        G = perturb_edge(cycle_graph(4), EdgePerturbation(0, 2, 2.0))
+        G = perturb_edge(cycle_graph(4), 0, 2, 2.0)
         assert G.weight(0, 2) == 2.0
         assert G.weight(0, 1) == 1.0
 
     def test_k4_remove_edge(self):
-        G = perturb_edge(complete(4), EdgePerturbation(0, 1, -1.0))
+        G = perturb_edge(complete(4), 0, 1, -1.0)
         assert G.weight(0, 1) == 0.0
         assert (0, 1) not in G.weights
-        assert not G.has_negative_weight
+        assert not (G.matrix < 0).any()
 
     def test_alpha_zero_identity(self):
         G = cycle_graph(5)
-        assert perturb_edge(G, EdgePerturbation(1, 3, 0.0)).weights == G.weights
+        assert perturb_edge(G, 1, 3, 0.0).weights == G.weights
 
     @pytest.mark.parametrize("alpha", [float("nan"), float("inf"), -float("inf")])
     def test_non_finite_alpha_rejected(self, alpha):
-        with pytest.raises(ValueError):
-            EdgePerturbation(0, 1, alpha)
+        with pytest.raises(InputError, match="perturbation alpha must be finite"):
+            perturb_edge(cycle_graph(4), 0, 1, alpha)
+
+    def test_argument_checks_precede_range_checks(self):
+        with pytest.raises(InputError, match="perturbation endpoints must differ"):
+            perturb_edge(cycle_graph(4), 9, 9, 1.0)
+        with pytest.raises(InputError, match="perturbation alpha must be finite"):
+            perturb_edge(cycle_graph(4), 0, 9, float("nan"))
+        with pytest.raises(IndexOutOfRangeError):
+            perturb_edge(cycle_graph(4), 0, 9, 1.0)
 
     def test_negative_weight_flagged(self):
-        G = perturb_edge(cycle_graph(4), EdgePerturbation(0, 1, -1.5))
+        G = perturb_edge(cycle_graph(4), 0, 1, -1.5)
         assert G.weight(0, 1) == -0.5
-        assert G.has_negative_weight
+        assert (G.matrix < 0).any()
 
     def test_laplacian_identity_exact(self):
         cases = [
@@ -337,7 +340,7 @@ class TestPerturbEdge:
             (complete(8), 2, 6, -1.0),
         ]
         for G, a, b, alpha in cases:
-            got = laplacian(perturb_edge(G, EdgePerturbation(a, b, alpha)))
+            got = laplacian(perturb_edge(G, a, b, alpha))
             want = laplacian(G) + alpha * rank_one_matrix(G.n, a, b)
             assert np.array_equal(got, want)
 
@@ -349,7 +352,7 @@ class TestTwinAlgebra:
             cycle_graph(6),
             complete(5),
             path_graph(3),
-            perturb_edge(complete(4), EdgePerturbation(0, 1, -1.0)),
+            perturb_edge(complete(4), 0, 1, -1.0),
         ]
 
     def test_commutation_on_twins(self):

@@ -4,11 +4,13 @@ Every jsonc input schema example is parsed by `twinwalk.jsonio` and run
 through the command line (`twins` for a graph, `family` for a family), with
 the exit code README states for it, and the library example block runs as
 written. A change to the graph representation or the public API that breaks
-a documented example fails here.
+a documented example fails here, and so does a command-line option README
+does not name, or one it names that the parser no longer defines.
 """
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import io
 import json
@@ -18,7 +20,7 @@ from pathlib import Path
 
 import pytest
 
-from twinwalk.cli import main
+from twinwalk.cli import build_parser, main
 from twinwalk.errors import SizeNotMultipleOfFourWarning
 from twinwalk.graphs import list_twin_pairs
 from twinwalk.jsonio import family_from_obj, graph_from_obj
@@ -86,4 +88,14 @@ def test_library_example():
     assert [line.split()[:3] for line in lines[:4]] == [
         ["LPST", "0", "4"], ["LPST", "1", "5"], ["LPST", "2", "6"], ["LPST", "3", "7"],
     ]
-    assert len(lines) == 5 and "TransferKind.PGST" in lines[4]
+    assert len(lines) == 6 and "TransferKind.PGST" in lines[4]
+    assert lines[5] == "LPST"
+
+
+def test_readme_names_every_cli_option():
+    parser = build_parser()
+    (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    defined = {opt for sub in commands.choices.values() for action in sub._actions
+               for opt in action.option_strings if opt.startswith("--")}
+    section = README.split("## Command line", 1)[1].split("\n## ", 1)[0]
+    assert defined - {"--help"} == set(re.findall(r"--[a-z][a-z-]*", section))
