@@ -43,14 +43,11 @@ from .walk import (
     TransferReport,
     check_lpst,
     check_periodic,
-    mixed_pair_entry_symmetry,
     perturbed_propagator,
     pgst_scan,
-    phase_alignment,
     propagator,
     pst_time_scan,
     transfer_amplitudes,
-    verify_factorization,
 )
 
 __version__ = "0.1.0"

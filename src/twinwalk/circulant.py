@@ -10,7 +10,7 @@ from math import gcd
 import numpy as np
 
 from .errors import InputError
-from .graphs import WeightedGraph
+from .graphs import WeightedGraph, _zero_weights
 
 
 @dataclass(frozen=True)
@@ -50,7 +50,7 @@ def is_gcd_set(n: int, S: set[int] | frozenset[int]) -> bool:
 
 def build_circulant(spec: CirculantSpec) -> WeightedGraph:
     """Weight-1 graph with u ~ v iff (u - v) mod n lies in S."""
-    A = np.zeros((spec.n, spec.n))
+    A = _zero_weights(spec.n)
     u = np.arange(spec.n)
     for s in spec.S:
         A[u, (u + s) % spec.n] = 1.0

@@ -25,6 +25,7 @@ from .circulant import (
 from .errors import InputError, SizeNotMultipleOfFourWarning, WitnessFailedError
 from .graphs import (
     WeightedGraph,
+    _zero_weights,
     is_twin_pair,
     laplacian,
     perturb_edge,
@@ -65,9 +66,9 @@ class FamilyInstance:
 
 
 def complete_graph(n: int) -> WeightedGraph:
-    if n < 1:
-        raise InputError(f"vertex count must be positive, got {n}")
-    return WeightedGraph(np.ones((n, n)) - np.eye(n))
+    A = _zero_weights(n) + 1.0
+    np.fill_diagonal(A, 0.0)
+    return WeightedGraph(A)
 
 
 def _check_disjoint(pairs: list[tuple[int, int]]) -> None:
@@ -158,6 +159,7 @@ def circulant_twin_edge_family(
     every added pair; otherwise each pair gets a pretty-good witness along
     times (4q+1) pi/2.
     """
+    G = build_circulant(spec)  # rejects an n too large to hold first
     if not almost_periodic_applicable(spec):
         raise InputError(
             "almost-periodicity criterion failed: modulus must be a power "
@@ -175,7 +177,6 @@ def circulant_twin_edge_family(
             raise InputError(
                 f"pair ({a},{b}) is not antipodal (offset n/2)"
             )
-    G = build_circulant(spec)
     # S = n/2 - S and 0 not in S keep n/2 out of S: no pair is an edge yet.
     for a, b in pairs:
         G = perturb_edge(G, a, b, 1.0)

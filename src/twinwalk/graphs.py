@@ -22,6 +22,16 @@ def _check_vertex(n: int, v: int) -> None:
         raise IndexOutOfRangeError(f"vertex {v} out of range [0, {n})")
 
 
+def _zero_weights(n: int) -> np.ndarray:
+    """n x n zeros; InputError unless n >= 1 and numpy can allocate them."""
+    if n < 1:
+        raise InputError(f"vertex count must be positive, got {n}")
+    try:
+        return np.zeros((n, n))
+    except (MemoryError, ValueError) as exc:
+        raise InputError(f"vertex count {n} is too large") from exc
+
+
 @dataclass(frozen=True, eq=False)
 class WeightedGraph:
     """Undirected weighted graph on vertices 0..n-1, held as its weight
@@ -77,9 +87,7 @@ def build_graph(n: int, edge_list: list[tuple[int, int, float]]) -> WeightedGrap
     for any other invalid input, also when the weights are so large that
     the squared Frobenius norm of the Laplacian overflows.
     """
-    if n < 1:
-        raise InputError(f"vertex count must be positive, got {n}")
-    A = np.zeros((n, n))
+    A = _zero_weights(n)
     for u, v, w in edge_list:
         _check_vertex(n, u)
         _check_vertex(n, v)

@@ -2,7 +2,8 @@
 
 Used by the command-line `verify-identities` report and by the test suite.
 Each check returns the worst deviation observed, so a run summarizes how
-tightly the implementation satisfies its exact identities.
+tightly the implementation satisfies its exact identities, among them the
+closed-form perturbed propagator against the series exponential.
 """
 
 from __future__ import annotations
@@ -17,8 +18,8 @@ from .graphs import (
     perturb_edge,
     rank_one_matrix,
 )
-from .spectral import eigendecompose, matrix_exp_oracle
-from .walk import _factorization_gap, propagator
+from .spectral import Spectrum, eigendecompose, matrix_exp_oracle
+from .walk import perturbed_propagator, propagator
 
 
 def random_twin_graph(
@@ -40,6 +41,16 @@ def random_twin_graph(
     A[:, b] = A[:, a]
     A[a, b] = A[b, a] = rng.uniform(0.2, 2.0) if rng.random() < 0.5 else 0.0
     return WeightedGraph(A), (a, b)
+
+
+def _factorization_gap(s: Spectrum, L: np.ndarray, M: np.ndarray,
+                       alpha: float, times: list[float] | np.ndarray) -> float:
+    """max over times of the entrywise gap between perturbed_propagator on
+    the spectrum s of L and the series exponential of H = L + alpha M."""
+    H = L + alpha * M
+    return max((float(np.abs(perturbed_propagator(s, t, M, alpha)
+                              - matrix_exp_oracle(H, t)).max())
+                for t in map(float, times)), default=0.0)
 
 
 def run_identity_checks(

@@ -77,7 +77,7 @@ def graph_from_obj(obj: Any) -> WeightedGraph:
                 raise InputError(f"edge weight must be a number, got {w!r}")
             edges.append((_as_int(e[0], "edge vertex"), _as_int(e[1], "edge vertex"),
                           float(w)))
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InputError(f"bad graph object: {exc}") from exc
     _only_keys(obj, {"n", "edges"}, "graph document")
     return build_graph(n, edges)

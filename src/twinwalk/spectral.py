@@ -5,16 +5,15 @@ The eigensolver is a cyclic Jacobi sweep: robust at the small dimensions this
 library targets (n <= 64) and guaranteed to produce orthogonal eigenvectors
 on symmetric input. A read-only Spectrum keeps the sorted eigenbasis and
 merges eigenvalues closer than a clustering tolerance into one distinct value;
-projectors, transfer coefficients and propagators are derived from the basis
-here, so degenerate eigenspaces only enter through sums over their clusters.
-Every propagator entry U(t)[b, a] a verdict reads is a sum over the transfer
+transfer coefficients and propagators are derived from the basis here, so
+degenerate eigenspaces only enter through sums over their clusters. Every
+propagator entry U(t)[b, a] a verdict reads is a sum over the transfer
 coefficients of (a, b), which also check that both vertices are in range.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -34,7 +33,12 @@ _ORACLE_TARGET_NORM = 0.5
 @dataclass(frozen=True)
 class Spectrum:
     """Distinct eigenvalues (ascending) over an orthonormal eigenbasis whose
-    columns starts[j]:starts[j + 1] span the eigenspace of values[j]."""
+    columns starts[j]:starts[j + 1] span the eigenspace of values[j].
+
+    Outside this module a spectrum is read only through `n`, `values`,
+    `coefficients(a, b)` and `unitary(t)`; any other source of a spectrum
+    (a twin update, an analytic circulant spectrum) must provide those four.
+    """
 
     values: np.ndarray   # shape (k,), ascending cluster means
     vectors: np.ndarray  # n x n, eigenvector columns sorted by eigenvalue
@@ -48,18 +52,6 @@ class Spectrum:
     def n(self) -> int:
         return self.vectors.shape[0]
 
-    @property
-    def multiplicities(self) -> list[int]:
-        return np.diff(self.starts, append=self.n).tolist()
-
-    @cached_property
-    def projectors(self) -> tuple[np.ndarray, ...]:
-        """E_j = B_j B_j^T for the eigenvector block B_j of each cluster."""
-        out = tuple(B @ B.T for B in np.split(self.vectors, self.starts[1:], axis=1))
-        for E in out:
-            E.flags.writeable = False
-        return out
-
     def coefficients(self, a: int, b: int) -> np.ndarray:
         """E_j[b, a] for every cluster j, the weights of U(t)[b, a]."""
         for v in (a, b):
@@ -71,7 +63,8 @@ class Spectrum:
         """exp(-i t L) = V diag(exp(-i mu t)) V^T."""
         if not np.isfinite(t):
             raise InputError("t must be finite")
-        phases = np.repeat(np.exp(-1j * self.values * t), self.multiplicities)
+        phases = np.repeat(np.exp(-1j * self.values * t),
+                           np.diff(self.starts, append=self.n))
         return (self.vectors * phases) @ self.vectors.T
 
 

@@ -10,9 +10,9 @@ perturbed graph factors in closed form,
     U'(t) = U(t) [I + (exp(-2 i alpha t) - 1) / 2 * M],
 
 where M is the rank-one matrix of the pair; this module evaluates that
-factorization and checks it against the series exponential of the perturbed
-Laplacian. Searches cover a uniform time grid refined by bisection on the
-sign of d|U(t)[b, a]|^2/dt (perfect transfer) and the arithmetic progression
+factorization (identities checks it against the series exponential).
+Searches cover a uniform time grid refined by bisection on the sign of
+d|U(t)[b, a]|^2/dt (perfect transfer) and the arithmetic progression
 (4q+1) pi/2 (pretty good transfer / almost periodicity). The progression is
 swept by the exact factorization
 
@@ -32,8 +32,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError
-from .graphs import WeightedGraph, is_twin_pair, laplacian, rank_one_matrix
-from .spectral import Spectrum, eigendecompose, matrix_exp_oracle
+from .graphs import WeightedGraph, laplacian
+from .spectral import Spectrum, eigendecompose
 
 DEFAULT_LPST_TOL = 1e-9
 DEFAULT_QMAX = 1_000_000
@@ -109,21 +109,13 @@ def transfer_amplitudes(
     return np.exp(-1j * np.outer(times, s.values)) @ s.coefficients(a, b)
 
 
-def phase_alignment(s: Spectrum, t: float) -> float:
-    """max_j |exp(-i mu_j t) - 1|; small values certify almost periodicity."""
-    if not np.isfinite(t):
-        raise InputError("t must be finite")
-    return float(np.abs(np.exp(-1j * s.values * t) - 1.0).max())
-
-
 def perturbed_propagator(
     s: Spectrum, t: float, M: np.ndarray, alpha: float
 ) -> np.ndarray:
     """Closed-form propagator at time t of the graph whose spectrum is s with
     alpha added to the edge of M's pair.
 
-    Valid only when the endpoints of M are twins in the graph s came from;
-    verify_factorization checks that condition.
+    Valid only when the endpoints of M are twins in the graph s came from.
     """
     if not np.isfinite(alpha):
         raise InputError("alpha must be finite")
@@ -170,23 +162,6 @@ def check_periodic(
 ) -> TransferReport:
     """Report whether the walk returns to vertex p at time t."""
     return _verdict(_spectrum_of(G), p, p, t, tol)
-
-
-def mixed_pair_entry_symmetry(
-    G: WeightedGraph, a: int, b: int, q: int, times: list[float]
-) -> float:
-    """max over times of |U[a, q] - U[b, q]| for the twin pair (a, b).
-
-    The entries agree exactly for twins, so a small return value certifies
-    that no transfer between a twin and an outside vertex can exceed
-    1/sqrt(2) in fidelity.
-    """
-    if q in (a, b):
-        raise InputError("q must lie outside the twin pair")
-    s = _spectrum_of(G)
-    top = transfer_amplitudes(s, q, a, np.asarray(times, dtype=float))
-    bot = transfer_amplitudes(s, q, b, np.asarray(times, dtype=float))
-    return float(np.abs(top - bot).max())
 
 
 def pst_time_scan(
@@ -319,28 +294,3 @@ def pgst_scan(
         q0 = q1
     return PGSTWitness(times, fids, ladder)
 
-
-def verify_factorization(
-    G: WeightedGraph, a: int, b: int, alpha: float, times: list[float]
-) -> float:
-    """max over times of the entrywise gap between the closed-form propagator
-    of G with alpha added to the (a, b) edge and the series exponential of
-    the perturbed Laplacian. Raises InputError unless a and b are
-    twins in G."""
-    if not np.isfinite(alpha):
-        raise InputError("alpha must be finite")
-    if not is_twin_pair(G, a, b):
-        raise InputError(f"({a},{b}) is not a twin pair of G")
-    L = laplacian(G)
-    return _factorization_gap(eigendecompose(L), L, rank_one_matrix(G.n, a, b),
-                              alpha, times)
-
-
-def _factorization_gap(s: Spectrum, L: np.ndarray, M: np.ndarray,
-                       alpha: float, times: list[float] | np.ndarray) -> float:
-    """max over times of the entrywise gap between perturbed_propagator on
-    the spectrum s of L and the series exponential of H = L + alpha M."""
-    H = L + alpha * M
-    return max((float(np.abs(perturbed_propagator(s, t, M, alpha)
-                              - matrix_exp_oracle(H, t)).max())
-                for t in map(float, times)), default=0.0)

@@ -388,12 +388,28 @@ class TestErrorsAndOutput:
     def test_missing_file(self):
         assert main(["twins", "--input", "/nonexistent/g.json"]) == 2
 
-    @pytest.mark.parametrize("weight", ["NaN", "Infinity", "-Infinity"])
+    @pytest.mark.parametrize("weight", [
+        "NaN", "Infinity", "-Infinity",
+        # an integer float() cannot convert: it overflows the float range
+        pytest.param("1" + "0" * 400, id="int-beyond-float"),
+    ])
     def test_non_finite_weight_exits_2(self, tmp_path, weight):
         path = tmp_path / "g.json"
         path.write_text(f'{{"n": 3, "edges": [[0, 1, {weight}], [1, 2]]}}')
         assert main(["check", "--input", str(path), "--from", "0", "--to", "2",
                      "--time", "1"]) == 2
+
+    @pytest.mark.parametrize("command, doc", [
+        ("twins", {"n": 10**9}),
+        ("twins", {"circulant": {"n": 2**30, "S": [1, 2**30 - 1]}}),
+        ("family", {"family": "k4n_matching", "size": 10**9}),
+        ("family", {"family": "quarter_weight", "base": "K1000000000", "pairs": []}),
+        ("family", {"family": "circulant_twin", "n": 2**30, "S": [1, 2**30 - 1]}),
+    ], ids=["graph", "circulant", "k4n", "quarter_base", "circulant_twin"])
+    def test_oversized_vertex_count_exits_2(self, tmp_path, capsys, command, doc):
+        # each n fails numpy's allocation at once, before memory is committed
+        code = main([command, "--input", write(tmp_path, "doc.json", doc)])
+        assert "is too large" in assert_input_error(code, capsys.readouterr())
 
     @pytest.mark.parametrize(
         "doc, time",

@@ -18,16 +18,13 @@ from twinwalk import (
     complete_graph,
     eigendecompose,
     laplacian,
-    mixed_pair_entry_symmetry,
     perturb_edge,
     perturbed_propagator,
     pgst_scan,
-    phase_alignment,
     propagator,
     pst_time_scan,
     rank_one_matrix,
     transfer_amplitudes,
-    verify_factorization,
     verify_family,
 )
 from twinwalk import errors, spectral
@@ -71,9 +68,6 @@ REJECTED = [
     ("propagator_t", lambda: propagator(c4_spectrum(), math.inf), "t must be finite"),
     ("amplitudes_t", lambda: transfer_amplitudes(c4_spectrum(), 0, 2, [1.0, math.nan]),
      "t must be finite"),
-    ("alignment_t", lambda: phase_alignment(c4_spectrum(), -math.inf), "t must be finite"),
-    ("mixed_pair_t", lambda: mixed_pair_entry_symmetry(c4(), 0, 2, 1, [math.nan]),
-     "t must be finite"),
     ("verdict_tol", lambda: check_lpst(c4(), 0, 1, 1.0, tol=2.0),
      r"tol must lie in \(0, 1\)"),
     ("verdict_t", lambda: check_periodic(c4(), 0, math.nan), "t must be finite"),
@@ -82,13 +76,11 @@ REJECTED = [
     ("chunk", lambda: pgst_scan(c4(), 0, 2, chunk=0), "chunk must be at least 1"),
     ("epsilons", lambda: pgst_scan(c4(), 0, 2, epsilons=(0.1, 0.2)),
      "epsilons must be strictly decreasing"),
-    ("factorization", lambda: verify_factorization(c4(), 0, 2, math.inf, [1.0]),
-     "alpha must be finite"),
-    ("factorization_t", lambda: verify_factorization(c4(), 0, 2, 1.0, [math.nan]),
-     "t must be finite"),
     ("complete_graph", lambda: complete_graph(-4),
      "vertex count must be positive, got -4"),
     ("build_graph", lambda: build_graph(0, []), "vertex count must be positive, got 0"),
+    ("build_graph_too_large", lambda: build_graph(10**9, []),
+     "vertex count 1000000000 is too large"),
 ]
 
 
