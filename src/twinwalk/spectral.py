@@ -61,11 +61,18 @@ class Spectrum:
 
     def unitary(self, t: float) -> np.ndarray:
         """exp(-i t L) = V diag(exp(-i mu t)) V^T."""
-        if not np.isfinite(t):
-            raise InputError("t must be finite")
-        phases = np.repeat(np.exp(-1j * self.values * t),
+        phases = np.repeat(_phases(self.values, t),
                            np.diff(self.starts, append=self.n))
         return (self.vectors * phases) @ self.vectors.T
+
+
+def _phases(values: np.ndarray, times) -> np.ndarray:
+    """exp(-i mu t) for every time t (rows) and eigenvalue mu (columns)."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        angles = np.multiply.outer(times, values)
+    if not np.isfinite(angles).all():
+        raise InputError("t must be finite, and so must every phase mu t")
+    return np.exp(-1j * angles)
 
 
 def _offdiag_norm(A: np.ndarray) -> float:

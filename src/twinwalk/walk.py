@@ -21,7 +21,7 @@ swept by the exact factorization
 
 so a table of exp(-2 pi i mu_j r) for r < 1024, built once per scan, turns
 each block of 1024 times into one exponential per cluster and a row of a
-small matrix product.
+small matrix product; a scan holds 8 such blocks at a time, whatever q_max.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ import numpy as np
 
 from .errors import InputError
 from .graphs import WeightedGraph, laplacian
-from .spectral import Spectrum, eigendecompose
+from .spectral import Spectrum, _phases, eigendecompose
 
 DEFAULT_LPST_TOL = 1e-9
 DEFAULT_QMAX = 1_000_000
@@ -44,6 +44,7 @@ _BISECT_STEPS = 64
 _PHASE_FLOOR = 1e-15
 _RECORD_STEP = 1e-6
 _PHASE_TABLE_ROWS = 1024
+_PGST_STEP = 8 * _PHASE_TABLE_ROWS  # q values per pgst_scan step
 
 
 class TransferKind(enum.Enum):
@@ -104,9 +105,7 @@ def transfer_amplitudes(
     s: Spectrum, a: int, b: int, times: np.ndarray
 ) -> np.ndarray:
     """Entry (b, a) of the propagator at each time, as one vectorized sweep."""
-    if not np.isfinite(times).all():
-        raise InputError("t must be finite")
-    return np.exp(-1j * np.outer(times, s.values)) @ s.coefficients(a, b)
+    return _phases(s.values, times) @ s.coefficients(a, b)
 
 
 def perturbed_propagator(
@@ -120,7 +119,7 @@ def perturbed_propagator(
     if not np.isfinite(alpha):
         raise InputError("alpha must be finite")
     U = propagator(s, t)  # rejects a non-finite t before exp() warns on it
-    return U @ (np.eye(s.n) + 0.5 * (np.exp(-2j * alpha * t) - 1.0) * M)
+    return U @ (np.eye(s.n) + 0.5 * (_phases(2.0 * float(alpha), t) - 1.0) * M)
 
 
 def _polar(entry: complex) -> tuple[float, complex]:
@@ -217,7 +216,6 @@ def pgst_scan(
     b: int,
     q_max: int = DEFAULT_QMAX,
     epsilons: tuple[float, ...] = DEFAULT_EPSILONS,
-    chunk: int = 65_536,
 ) -> PGSTWitness:
     """Scan times (4q+1) pi/2 for q = 0..q_max for transfer a -> b.
 
@@ -228,20 +226,17 @@ def pgst_scan(
     achieved. With a == b this measures return fidelity, i.e. almost
     periodicity at the vertex.
 
-    Each chunk of q values gets its amplitudes as (block @ table.T), where
-    table[r, j] = exp(-2 pi i mu_j r) for r < 1024 (fewer rows when chunk
-    or q_max + 1 is smaller) and block[i, j] = c_j exp(-i mu_j t) at every
-    1024th time t of the chunk, c being the transfer coefficients of (a, b):
+    Each step of 8192 q values gets its amplitudes as (block @ table.T),
+    where table[r, j] = exp(-2 pi i mu_j r) for r < 1024 (fewer rows when
+    q_max + 1 is smaller) and block[i, j] = c_j exp(-i mu_j t) at every
+    1024th time t of the step, c being the transfer coefficients of (a, b):
     one exponential per cluster and block. This form and transfer_amplitudes
     each round mu_j t by about eps |mu_j| t, so their fidelities agree to
-    that order. Memory is about chunk x 40 B for the chunk's times,
-    amplitudes and magnitudes plus 1024 k x 16 B for the table, so no
-    chunk-sized array grows with the number k of clusters.
+    that order. Memory is about 8192 x 40 B for the step's times, amplitudes
+    and magnitudes plus 1024 k x 16 B for the table, whatever q_max is.
     """
     if q_max < 1:
         raise InputError("q_max must be at least 1")
-    if chunk < 1:
-        raise InputError("chunk must be at least 1")
     eps = list(epsilons)
     if any(not 0.0 < e < 1.0 for e in eps) or any(
         x <= y for x, y in zip(eps, eps[1:])
@@ -249,7 +244,7 @@ def pgst_scan(
         raise InputError("epsilons must be strictly decreasing within (0, 1)")
     s = _spectrum_of(G)
     c = s.coefficients(a, b)
-    rows = min(_PHASE_TABLE_ROWS, chunk, q_max + 1)
+    rows = min(_PHASE_TABLE_ROWS, _PGST_STEP, q_max + 1)
     table = np.exp(-2j * np.pi * np.outer(np.arange(rows), s.values))
     times: list[float] = []
     fids: list[float] = []
@@ -258,10 +253,9 @@ def pgst_scan(
     best = 0.0
     q0 = 0
     while q0 <= q_max:
-        q1 = min(q0 + chunk, q_max + 1)
-        qs = np.arange(q0, q1)
-        ts = (4.0 * qs + 1.0) * (np.pi / 2.0)
-        block = np.exp(-1j * np.outer(ts[::rows], s.values)) * c
+        q1 = min(q0 + _PGST_STEP, q_max + 1)
+        ts = (4.0 * np.arange(q0, q1) + 1.0) * (np.pi / 2.0)
+        block = _phases(s.values, ts[::rows]) * c
         amps = (block @ table.T).ravel()[: q1 - q0]
         mags = np.abs(amps)
 
@@ -272,12 +266,11 @@ def pgst_scan(
             if crossed.size == 0:
                 break
             i = int(crossed[0])
-            ladder.append(EpsilonHit(pending.pop(0), int(qs[i]), float(ts[i]),
+            ladder.append(EpsilonHit(pending.pop(0), q0 + i, float(ts[i]),
                                      float(mags[i]), _polar(amps[i])[1]))
             if not pending:
                 limit = i + 1
                 done = True
-        del amps  # hold no chunk-sized complex array into the next chunk
 
         pos = 0
         while pos < limit:

@@ -7,7 +7,6 @@ import warnings
 from contextlib import contextmanager
 
 import numpy as np
-import pytest
 
 from twinwalk import (
     CirculantSpec,
@@ -16,7 +15,6 @@ from twinwalk import (
     almost_periodic_applicable,
     build_circulant,
     check_lpst,
-    check_periodic,
     circulant_twin_edge_family,
     complete_graph,
     eigendecompose,

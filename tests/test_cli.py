@@ -431,6 +431,20 @@ class TestErrorsAndOutput:
     @pytest.mark.parametrize(
         "argv",
         [
+            ["check", "--from", "0", "--to", "2", "--time", "1e308"],
+            ["scan", "--from", "0", "--to", "2", "--t-max", "1e308"],
+        ],
+        ids=["check_time", "scan_t_max"],
+    )
+    def test_overflowing_phase_exits_2(self, tmp_path, capsys, argv):
+        # mu t = 4e308 overflowed to a NaN fidelity, printed as invalid JSON
+        path = write(tmp_path, "g.json", C4)
+        code = main([argv[0], "--input", path, *argv[1:]])
+        assert "phase" in assert_input_error(code, capsys.readouterr())
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
             ["check", "--from", "0", "--to", "2", "--time", "1", "--pi-multiple", "0.5"],
             ["scan", "--from", "0", "--to", "2", "--t-max", "3", "--t-max-pi", "4"],
         ],

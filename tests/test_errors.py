@@ -68,12 +68,20 @@ REJECTED = [
     ("propagator_t", lambda: propagator(c4_spectrum(), math.inf), "t must be finite"),
     ("amplitudes_t", lambda: transfer_amplitudes(c4_spectrum(), 0, 2, [1.0, math.nan]),
      "t must be finite"),
+    # each phase below overflows: C4's eigenvalues reach 4, alpha M's is 2 alpha
+    ("amplitudes_phase", lambda: transfer_amplitudes(c4_spectrum(), 0, 2, [1.0, 1e308]),
+     "every phase mu t"),
+    ("propagator_phase", lambda: propagator(c4_spectrum(), -1e308), "every phase mu t"),
+    ("perturbed_phase",
+     lambda: perturbed_propagator(c4_spectrum(), 2.0, rank_one_matrix(4, 0, 2), 1e308),
+     "every phase mu t"),
+    ("verdict_phase", lambda: check_lpst(c4(), 0, 2, 1e308), "every phase mu t"),
+    ("t_max_phase", lambda: pst_time_scan(c4(), 0, 2, 1e308), "every phase mu t"),
     ("verdict_tol", lambda: check_lpst(c4(), 0, 1, 1.0, tol=2.0),
      r"tol must lie in \(0, 1\)"),
     ("verdict_t", lambda: check_periodic(c4(), 0, math.nan), "t must be finite"),
     ("t_max", lambda: pst_time_scan(c4(), 0, 2, -1.0), "t_max must be positive"),
     ("q_max", lambda: pgst_scan(c4(), 0, 2, q_max=0), "q_max must be at least 1"),
-    ("chunk", lambda: pgst_scan(c4(), 0, 2, chunk=0), "chunk must be at least 1"),
     ("epsilons", lambda: pgst_scan(c4(), 0, 2, epsilons=(0.1, 0.2)),
      "epsilons must be strictly decreasing"),
     ("complete_graph", lambda: complete_graph(-4),

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -28,6 +29,7 @@ from twinwalk import (
     twin_condition,
     verify_family,
 )
+from twinwalk import walk
 from twinwalk.errors import IndexOutOfRangeError, InputError
 from twinwalk.identities import _factorization_gap, random_twin_graph, run_identity_checks
 from conftest import cycle_graph, path_graph
@@ -398,9 +400,6 @@ class TestPgstScan:
             pgst_scan(G, 0, 4, epsilons=(0.1, 0.2))
         with pytest.raises(ValueError):
             pgst_scan(G, 0, 4, epsilons=(1.5, 0.1))
-        for chunk in (0, -3):  # a chunk below 1 would never advance the scan
-            with pytest.raises(ValueError, match="chunk must be at least 1"):
-                pgst_scan(G, 0, 4, q_max=10, chunk=chunk)
 
     @pytest.mark.parametrize("S, qs", [
         ((1, 15, 17, 31), [3, 476, 24635]),
@@ -413,10 +412,26 @@ class TestPgstScan:
         assert [h.time for h in w.epsilon_ladder] == [
             (4 * q + 1) * (PI / 2) for q in qs]
 
+    def test_full_scan_memory_does_not_grow_with_q_max(self, monkeypatch):
+        # A NONE scan sweeps all 10^6 + 1 times, about 0.7 MiB at 8192 q per
+        # step; a 65 536-q step would peak at 3.3 MiB. The solve runs untraced.
+        spec = CirculantSpec(64, frozenset({3, 29, 35, 61}))
+        G = circulant_twin_edge_family(spec, [(0, 32)]).graph
+        s = spectrum_of(G)
+        monkeypatch.setattr(walk, "_spectrum_of", lambda _: s)
+        tracemalloc.start()
+        try:
+            w = pgst_scan(G, 0, 32, q_max=10**6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert w.achieved(1e-3) is None
+        assert peak < 2**20
+
     @settings(max_examples=15, deadline=None)
     @given(st.data())
     def test_chunking_moves_no_hit(self, data):
-        # Chunk edges fall inside and across the 1024-row phase table blocks.
+        # Step edges fall inside and across the 1024-row phase table blocks.
         if data.draw(st.booleans()):
             seed = data.draw(st.integers(0, 2**32 - 1))
             G, (a, b) = random_twin_graph(np.random.default_rng(seed))
@@ -430,8 +445,10 @@ class TestPgstScan:
         # Both forms round mu_j t, each by at most eps |mu_j| t.
         rounding = 2.0 * np.finfo(float).eps * np.abs(s.values).max()
         ladders = []
-        for chunk in (1, 7, 1000, 1024, 1025, 65_536):
-            w = pgst_scan(G, a, b, q_max, chunk=chunk)
+        for step in (1, 7, 1000, 1024, 1025, 8192):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(walk, "_PGST_STEP", step)
+                w = pgst_scan(G, a, b, q_max)
             ladders.append([(h.epsilon, h.q, h.time) for h in w.epsilon_ladder])
             for h in w.epsilon_ladder:
                 direct = abs(transfer_amplitudes(s, a, b, np.array([h.time]))[0])
