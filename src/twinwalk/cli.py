@@ -38,6 +38,9 @@ EXIT_NO_WITNESS = 1
 EXIT_INPUT = 2
 EXIT_NUMERIC = 3
 
+# the one scan mode that reads each of these options; the other rejects it
+_SCAN_OPTION_MODE = {"tol": "pst", "t_max": "pst", "t_max_pi": "pst", "q_max": "pgst"}
+
 
 def _sig(x: float, digits: int) -> float:
     return float(f"{x:.{digits}g}")
@@ -94,16 +97,21 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 
 def _cmd_scan(args: argparse.Namespace) -> int:
+    given = vars(args)
+    unread = [f"--{name.replace('_', '-')}" for name, mode in _SCAN_OPTION_MODE.items()
+              if name in given and mode != args.mode]
+    if unread:
+        raise InputError(f"--mode {args.mode} does not read {', '.join(unread)}")
     G = load_graph(args.input)
     a, b = args.from_vertex, args.to_vertex
     if args.mode == "pst":
-        t_max = args.t_max if args.t_max is not None else args.t_max_pi * math.pi
-        report = pst_time_scan(G, a, b, t_max, args.tol)
+        t_max = given.get("t_max", given.get("t_max_pi", 4.0) * math.pi)
+        report = pst_time_scan(G, a, b, t_max, given.get("tol", DEFAULT_LPST_TOL))
         obj = _report_obj(report)
         obj["mode"] = "pst"
         _emit(obj, args.out)
         return EXIT_OK if report.kind is not TransferKind.NONE else EXIT_NO_WITNESS
-    witness = pgst_scan(G, a, b, args.q_max)
+    witness = pgst_scan(G, a, b, given.get("q_max", DEFAULT_QMAX))
     found = witness.achieved(DEFAULT_EPSILONS[-1]) is not None
     obj = {
         "mode": "pgst",
@@ -188,17 +196,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", type=float, default=DEFAULT_LPST_TOL)
     p.set_defaults(func=_cmd_check)
 
-    p = sub.add_parser("scan", help="search transfer times")
+    # scan's mode options default to absent, so _cmd_scan sees which were given
+    p = sub.add_parser("scan", help="search transfer times",
+                       argument_default=argparse.SUPPRESS)
     add_common(p)
     p.add_argument("--from", dest="from_vertex", type=int, required=True)
     p.add_argument("--to", dest="to_vertex", type=int, required=True)
     p.add_argument("--mode", choices=("pst", "pgst"), default="pst")
     horizon = p.add_mutually_exclusive_group()
-    horizon.add_argument("--t-max", type=float, default=None)
-    horizon.add_argument("--t-max-pi", type=float, default=4.0,
-                         help="scan horizon as a multiple of pi (pst mode)")
-    p.add_argument("--q-max", type=int, default=DEFAULT_QMAX)
-    p.add_argument("--tol", type=float, default=DEFAULT_LPST_TOL)
+    horizon.add_argument("--t-max", type=float)
+    horizon.add_argument("--t-max-pi", type=float,
+                         help="scan horizon as a multiple of pi (pst mode, default 4)")
+    p.add_argument("--q-max", type=int)
+    p.add_argument("--tol", type=float)
     p.set_defaults(func=_cmd_scan)
 
     p = sub.add_parser("family", help="verify a family's expected witnesses")

@@ -36,10 +36,10 @@ def _zero_weights(n: int) -> np.ndarray:
 class WeightedGraph:
     """Undirected weighted graph on vertices 0..n-1, held as its weight
     matrix: a read-only copy of the array it is given, which must be square,
-    non-empty, finite and symmetric with a zero diagonal (InputError
-    otherwise). Absent edges have weight 0, so adjacency in the
-    combinatorial sense is `weight(u, v) != 0`. Graphs are equal when their
-    matrices are, and are not hashable.
+    non-empty, finite and symmetric with a zero diagonal, and keep the
+    Laplacian's squared Frobenius norm finite (InputError otherwise). Absent
+    edges have weight 0, so `weight(u, v) != 0` is adjacency. Graphs are
+    equal when their matrices are, and are not hashable.
     """
 
     matrix: np.ndarray
@@ -54,6 +54,10 @@ class WeightedGraph:
                 "finite and symmetric with a zero diagonal")
         A.flags.writeable = False
         object.__setattr__(self, "matrix", A)
+        with np.errstate(over="ignore"):
+            L = laplacian(self)
+            if not np.isfinite((L * L).sum()):
+                raise InputError("weights overflow the Laplacian's norm")
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, WeightedGraph):
@@ -84,8 +88,7 @@ def build_graph(n: int, edge_list: list[tuple[int, int, float]]) -> WeightedGrap
     """Build a graph from (u, v, w) triples with finite positive weights.
 
     Raises IndexOutOfRangeError for a vertex outside [0, n) and InputError
-    for any other invalid input, also when the weights are so large that
-    the squared Frobenius norm of the Laplacian overflows.
+    for any other invalid input.
     """
     A = _zero_weights(n)
     for u, v, w in edge_list:
@@ -100,12 +103,7 @@ def build_graph(n: int, edge_list: list[tuple[int, int, float]]) -> WeightedGrap
         if A[u, v]:
             raise InputError(f"edge {(min(u, v), max(u, v))} listed twice")
         A[u, v] = A[v, u] = w
-    G = WeightedGraph(A)
-    with np.errstate(over="ignore"):
-        L = laplacian(G)
-        if not np.isfinite((L * L).sum()):
-            raise InputError("weights overflow the Laplacian's norm")
-    return G
+    return WeightedGraph(A)
 
 
 def laplacian(G: WeightedGraph) -> np.ndarray:

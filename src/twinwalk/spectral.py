@@ -17,7 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceFailureError, IndexOutOfRangeError, InputError
+from .errors import ConvergenceFailureError, InputError
+from .graphs import _check_vertex
 
 DEFAULT_CLUSTER_TOL = 1e-8
 DEFAULT_INT_TOL = 1e-6
@@ -25,6 +26,8 @@ DEFAULT_INT_TOL = 1e-6
 _JACOBI_OFFDIAG_FACTOR = 1e-13
 _JACOBI_MAX_SWEEPS = 100
 _JACOBI_TAU_LIMIT = 1e150
+
+_PHASE_LIMIT = np.pi / np.finfo(float).eps  # one rounding of a larger mu t can exceed pi
 
 _ORACLE_TAYLOR_DEGREE = 18
 _ORACLE_TARGET_NORM = 0.5
@@ -54,9 +57,8 @@ class Spectrum:
 
     def coefficients(self, a: int, b: int) -> np.ndarray:
         """E_j[b, a] for every cluster j, the weights of U(t)[b, a]."""
-        for v in (a, b):
-            if not 0 <= v < self.n:
-                raise IndexOutOfRangeError(f"vertex {v} out of range [0, {self.n})")
+        _check_vertex(self.n, a)
+        _check_vertex(self.n, b)
         return np.add.reduceat(self.vectors[a] * self.vectors[b], self.starts)
 
     def unitary(self, t: float) -> np.ndarray:
@@ -67,11 +69,13 @@ class Spectrum:
 
 
 def _phases(values: np.ndarray, times) -> np.ndarray:
-    """exp(-i mu t) for every time t (rows) and eigenvalue mu (columns)."""
+    """exp(-i mu t) for every time t (rows) and eigenvalue mu (columns);
+    InputError unless every |mu t| is at most pi/eps."""
     with np.errstate(over="ignore", invalid="ignore"):
         angles = np.multiply.outer(times, values)
-    if not np.isfinite(angles).all():
-        raise InputError("t must be finite, and so must every phase mu t")
+    if not (np.abs(angles) <= _PHASE_LIMIT).all():
+        raise InputError("t must be finite, and every phase mu t at most "
+                         f"pi/eps = {_PHASE_LIMIT:.3g} in magnitude")
     return np.exp(-1j * angles)
 
 
@@ -132,8 +136,8 @@ def eigendecompose(L: np.ndarray) -> Spectrum:
 
     Sorted eigenvalues with consecutive gaps within DEFAULT_CLUSTER_TOL *
     max(1, ||L||_F) form one cluster, whose distinct value is their mean.
-    Raises ConvergenceFailureError when L has a non-finite entry or its
-    squared Frobenius norm overflows.
+    Raises ConvergenceFailureError when L, a raw matrix (no graph Laplacian
+    does), has a non-finite entry or a squared Frobenius norm that overflows.
     """
     L = np.asarray(L, dtype=float)
     with np.errstate(over="ignore"):

@@ -118,7 +118,7 @@ def perturbed_propagator(
     """
     if not np.isfinite(alpha):
         raise InputError("alpha must be finite")
-    U = propagator(s, t)  # rejects a non-finite t before exp() warns on it
+    U = propagator(s, t)
     return U @ (np.eye(s.n) + 0.5 * (_phases(2.0 * float(alpha), t) - 1.0) * M)
 
 
@@ -199,7 +199,7 @@ def pst_time_scan(
     mu_c = s.values * c
     for _ in range(_BISECT_STEPS):
         mid = 0.5 * (lo + hi)
-        phases = np.exp(-1j * mid * s.values)
+        phases = _phases(s.values, mid)
         if (np.conj(phases @ c) * (phases @ mu_c)).imag > 0:
             lo = mid
         else:

@@ -19,7 +19,8 @@ from pathlib import Path
 HERE = Path(__file__).resolve().parent
 sys.path.insert(0, str(HERE.parent))
 
-from test_golden import readme_commands, readme_schemas, run_case  # noqa: E402
+from test_golden import readme_commands, run_case  # noqa: E402
+from test_readme import EXAMPLES  # noqa: E402
 
 C4 = {"n": 4, "edges": [[0, 1], [1, 2], [2, 3], [3, 0]]}
 # K4 minus the matching {(0,1), (2,3)}: perfect transfer 0 -> 1 at pi/2
@@ -46,7 +47,7 @@ def cases() -> list[tuple[str, str, list[str], dict]]:
     assert len(commands) == len(COMMAND_INPUTS)
     out = [(f"command-{i}-{name}", "command", argv, inputs)
            for i, (argv, (name, inputs)) in enumerate(zip(commands, COMMAND_INPUTS), 1)]
-    for i, doc in enumerate(readme_schemas(), 1):
+    for i, doc in enumerate(EXAMPLES, 1):
         command = "family" if "family" in doc else "twins"
         out.append((f"schema-{i}-{command}", "schema",
                     [command, "--input", "doc.json"], {"doc.json": doc}))

@@ -179,9 +179,28 @@ class TestScan:
     @pytest.mark.parametrize("a, b", [(-1, 2), (0, -1), (4, 0), (0, 4)])
     def test_out_of_range_vertex_exits_2(self, tmp_path, capsys, mode, a, b):
         path = write(tmp_path, "g.json", C4)
+        q_max = ["--q-max", "10"] if mode == "pgst" else []
         code = main(["scan", "--input", path, "--from", str(a), "--to", str(b),
-                     "--mode", mode, "--q-max", "10"])
+                     "--mode", mode, *q_max])
         assert "out of range" in assert_input_error(code, capsys.readouterr())
+
+    @pytest.mark.parametrize(
+        "argv, unread",
+        [
+            (["--mode", "pgst", "--q-max", "5", "--tol", "5"], "--tol"),
+            (["--mode", "pst", "--t-max-pi", "1", "--q-max", "0"], "--q-max"),
+            (["--mode", "pgst", "--t-max", "3"], "--t-max"),
+            (["--mode", "pgst", "--t-max-pi", "1", "--tol", "0.1"], "--tol, --t-max-pi"),
+            (["--q-max", "10"], "--q-max"),  # pst is the default mode
+        ],
+        ids=["pgst_tol", "pst_q_max", "pgst_t_max", "pgst_two", "default_q_max"],
+    )
+    def test_option_of_the_other_mode_exits_2(self, tmp_path, capsys, argv, unread):
+        # each used to be ignored: the scan ran and exited 0
+        path = write(tmp_path, "g.json", C4)
+        code = main(["scan", "--input", path, "--from", "0", "--to", "2", *argv])
+        message = assert_input_error(code, capsys.readouterr())
+        assert message.endswith(f"does not read {unread}")
 
     def test_pst_scan_to_the_source_exits_2(self, tmp_path, capsys):
         # returns are checked at a time (check --from p --to p) or along
@@ -433,11 +452,14 @@ class TestErrorsAndOutput:
         [
             ["check", "--from", "0", "--to", "2", "--time", "1e308"],
             ["scan", "--from", "0", "--to", "2", "--t-max", "1e308"],
+            ["check", "--from", "0", "--to", "2", "--time", "1e307"],
+            ["scan", "--from", "0", "--to", "2", "--t-max", "1e300"],
         ],
-        ids=["check_time", "scan_t_max"],
+        ids=["check_time", "scan_t_max", "check_time_rounding", "scan_t_max_rounding"],
     )
     def test_overflowing_phase_exits_2(self, tmp_path, capsys, argv):
-        # mu t = 4e308 overflowed to a NaN fidelity, printed as invalid JSON
+        # mu t = 4e308 overflowed to a NaN fidelity, printed as invalid JSON;
+        # a finite mu t beyond pi/eps gave a verdict made of rounding
         path = write(tmp_path, "g.json", C4)
         code = main([argv[0], "--input", path, *argv[1:]])
         assert "phase" in assert_input_error(code, capsys.readouterr())

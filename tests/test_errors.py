@@ -77,6 +77,9 @@ REJECTED = [
      "every phase mu t"),
     ("verdict_phase", lambda: check_lpst(c4(), 0, 2, 1e308), "every phase mu t"),
     ("t_max_phase", lambda: pst_time_scan(c4(), 0, 2, 1e308), "every phase mu t"),
+    # finite phases beyond pi/eps, where one rounding of mu t exceeds pi
+    ("verdict_rounding", lambda: check_lpst(c4(), 0, 2, 1e307), "every phase mu t"),
+    ("t_max_rounding", lambda: pst_time_scan(c4(), 0, 2, 1e300), "every phase mu t"),
     ("verdict_tol", lambda: check_lpst(c4(), 0, 1, 1.0, tol=2.0),
      r"tol must lie in \(0, 1\)"),
     ("verdict_t", lambda: check_periodic(c4(), 0, math.nan), "t must be finite"),

@@ -1,10 +1,10 @@
 """Golden command-line corpus: README's commands and schema examples, replayed.
 
 Each `tests/golden/*.json` case holds an argv, the input documents it reads
-(written to a scratch directory that the command runs in), and what the
-command produced when the case was recorded: exit code, stdout, stderr and,
-for an `--out` command, the written file. `tests/golden/record.py` writes
-the cases. Keys, strings, integers (vertices, q), exit codes and stderr
+(written to a temporary directory that its --input and --out paths name),
+and what the command produced when the case was recorded: exit code,
+stdout, stderr and, for an `--out` command, the written file.
+`tests/golden/record.py` writes the cases. Keys, strings, integers (vertices, q), exit codes and stderr
 must match exactly; floats to 1e-12 relative, except phases and identity
 deviations, which sit near 0 and match to 1e-12 absolute.
 """
@@ -23,12 +23,12 @@ from pathlib import Path
 import pytest
 
 from twinwalk.cli import main
+from test_readme import EXAMPLES, README
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 CASES = sorted(GOLDEN.glob("*.json"))
 REL = 1e-12
 ABS_KEYS = {"phase_re", "phase_im", "identities"}
-README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
 
 
 def readme_commands() -> list[list[str]]:
@@ -36,13 +36,6 @@ def readme_commands() -> list[list[str]]:
     section = README.split("## Command line", 1)[1]
     block = re.search(r"```sh\n(.*?)```", section, flags=re.S).group(1)
     return [shlex.split(line, comments=True)[1:] for line in block.splitlines()]
-
-
-def readme_schemas() -> list[dict]:
-    """Each document of README's jsonc input-schema block."""
-    block = re.search(r"```jsonc\n(.*?)```", README, flags=re.S).group(1)
-    docs = (line.split("//")[0].strip() for line in block.splitlines())
-    return [json.loads(doc) for doc in docs if doc]
 
 
 def run_case(argv: list[str], inputs: dict, workdir: Path) -> dict:
@@ -91,7 +84,7 @@ def test_corpus_covers_readme():
     commands = [c["argv"] for c in cases if c["source"] == "command"]
     schemas = [doc for c in cases if c["source"] == "schema" for doc in c["inputs"].values()]
     assert sorted(commands) == sorted(readme_commands()) and len(commands) == 7
-    assert sorted(map(json.dumps, schemas)) == sorted(map(json.dumps, readme_schemas()))
+    assert sorted(map(json.dumps, schemas)) == sorted(map(json.dumps, EXAMPLES))
     assert len(schemas) == 6
     assert any(c["files"] for c in cases)  # the --out command
 

@@ -9,6 +9,7 @@ from twinwalk import (
     WeightedGraph,
     build_circulant,
     build_graph,
+    complete_graph,
     is_twin_pair,
     laplacian,
     list_twin_pairs,
@@ -98,6 +99,24 @@ class TestWeightMatrix:
             WeightedGraph(matrix)
         assert isinstance(info.value, TwinWalkError)
         assert isinstance(info.value, ValueError)
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: perturb_edge(complete_graph(4), 0, 1, 1e160),
+            lambda: WeightedGraph(1e160 * cycle_graph(4).matrix),
+            # the degree sum overflows
+            lambda: build_graph(3, [(0, 1, 1e308), (1, 2, 1e308)]),
+            # only the squared norm overflows
+            lambda: build_graph(4, [(u, (u + 1) % 4, 1e160) for u in range(4)]),
+        ],
+        ids=["perturb_edge", "constructor", "build_graph_degree", "build_graph_norm"],
+    )
+    def test_overflowing_laplacian_norm_rejected(self, make):
+        # every graph keeps the squared norm its eigensolve needs finite; a
+        # graph that did not made its first check_lpst a numerical failure
+        with pytest.raises(InputError, match="weights overflow the Laplacian's norm"):
+            make()
 
     def graphs(self):
         one_sided = np.zeros((3, 3))

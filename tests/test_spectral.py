@@ -110,6 +110,40 @@ def test_only_spectral_reads_the_basis():
                     f"{path.name}:{node.lineno} reads .{node.attr}")
 
 
+def _owners(accept) -> list[str]:
+    """`module.function` (or `module.Class.method`) around every node of
+    src/twinwalk that accept() takes, with `module` for module level."""
+    owners = []
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if accept(child):
+                owners.append(owner)
+            named = isinstance(child, (ast.FunctionDef, ast.ClassDef))
+            visit(child, f"{owner}.{child.name}" if named else owner)
+
+    for path in sorted(Path(twinwalk.__file__).parent.glob("*.py")):
+        visit(ast.parse(path.read_text(), str(path)), path.stem)
+    return owners
+
+
+def test_only_phases_exponentiates():
+    """Phases exp(-i mu t) come only from spectral._phases, which bounds
+    every mu t; the one other exp is pgst_scan's table of exp(-2 pi i mu r)
+    for r < 1024. A second phase computation fails here."""
+    exp = _owners(lambda n: isinstance(n, ast.Call)
+                  and ast.unparse(n.func).split(".")[-1] == "exp")
+    assert sorted(exp) == ["spectral._phases", "walk.pgst_scan"]
+
+
+def test_only_check_vertex_raises_out_of_range():
+    """Every vertex is checked by graphs._check_vertex; a copy of the check
+    fails here."""
+    raises = _owners(lambda n: isinstance(n, ast.Raise) and n.exc is not None
+                     and "IndexOutOfRangeError" in ast.unparse(n.exc))
+    assert raises == ["graphs._check_vertex"]
+
+
 class TestIntegrality:
     def test_k5_integral(self):
         assert is_integral_spectrum(eigendecompose(laplacian(complete(5))))
