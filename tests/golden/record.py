@@ -4,7 +4,12 @@ Usage: PYTHONPATH=src python tests/golden/record.py
 
 One case per command line of README's command-line block, with the input
 documents chosen below, and one per input-schema example (a graph under
-`twins`, a family under `family`). Each case stores what the command
+`twins`, a family under `family`). One case per row of
+tests/test_errors.py's EXIT_TABLE, except `convergence`: that row makes the
+eigensolver give up by monkeypatching its sweep limit, which a case (argv
+and input documents) cannot express. Two more `family` cases verify
+families the schema examples do not: K16 minus a 4-edge matching, and
+quarter weights on a nested-graph base. Each case stores what the command
 printed with the code checked out when this script runs, so record on the
 code whose output the corpus should pin, then commit the JSON files.
 """
@@ -20,6 +25,7 @@ HERE = Path(__file__).resolve().parent
 sys.path.insert(0, str(HERE.parent))
 
 from test_golden import readme_commands, run_case  # noqa: E402
+from test_errors import EXIT_IDS, EXIT_TABLE  # noqa: E402
 from test_readme import EXAMPLES  # noqa: E402
 
 C4 = {"n": 4, "edges": [[0, 1], [1, 2], [2, 3], [3, 0]]}
@@ -41,6 +47,12 @@ COMMAND_INPUTS = [
     ("twins-out", {"graph.json": C4}),
 ]
 
+FAMILY_INPUTS = [
+    ("k4n-16", {"family": "k4n_matching", "size": 16,
+                "matching": [[0, 1], [2, 3], [4, 5], [6, 7]]}),
+    ("quarter-c4", {"family": "quarter_weight", "base": C4, "pairs": [[0, 2]]}),
+]
+
 
 def cases() -> list[tuple[str, str, list[str], dict]]:
     commands = readme_commands()
@@ -51,6 +63,13 @@ def cases() -> list[tuple[str, str, list[str], dict]]:
         command = "family" if "family" in doc else "twins"
         out.append((f"schema-{i}-{command}", "schema",
                     [command, "--input", "doc.json"], {"doc.json": doc}))
+    for name, (_, doc, argv, _, _) in zip(EXIT_IDS, EXIT_TABLE):
+        if name != "convergence":
+            out.append((f"exit-{name}", "exit", [argv[0], "--input", "in.json", *argv[1:]],
+                        {"in.json": doc}))
+    for name, doc in FAMILY_INPUTS:
+        out.append((f"family-{name}", "family", ["family", "--input", "doc.json"],
+                    {"doc.json": doc}))
     return out
 
 

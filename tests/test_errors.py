@@ -138,12 +138,11 @@ EXIT_TABLE = [
      "no time in (4q+1) pi/2 with q <= 1"),
     (InputError, C4, ["twins", "--out", "."], 2, "cannot write ."),  # a directory
 ]
+EXIT_IDS = ["input", "input_unknown_key", "index", "convergence", "witness", "output"]
 
 
 @pytest.mark.parametrize(
-    "error, doc, argv, code, phrase", EXIT_TABLE,
-    ids=["input", "input_unknown_key", "index", "convergence", "witness", "output"],
-)
+    "error, doc, argv, code, phrase", EXIT_TABLE, ids=EXIT_IDS)
 def test_cli_exit_code_per_error_class(tmp_path, capsys, monkeypatch,
                                        error, doc, argv, code, phrase):
     if error is ConvergenceFailureError:

@@ -4,7 +4,8 @@ Each `tests/golden/*.json` case holds an argv, the input documents it reads
 (written to a temporary directory that its --input and --out paths name),
 and what the command produced when the case was recorded: exit code,
 stdout, stderr and, for an `--out` command, the written file.
-`tests/golden/record.py` writes the cases. Keys, strings, integers (vertices, q), exit codes and stderr
+A path inside the temporary directory is stored with `<workdir>` in its
+place. `tests/golden/record.py` writes the cases. Keys, strings, integers (vertices, q), exit codes and stderr
 must match exactly; floats to 1e-12 relative, except phases and identity
 deviations, which sit near 0 and match to 1e-12 absolute.
 """
@@ -23,6 +24,7 @@ from pathlib import Path
 import pytest
 
 from twinwalk.cli import main
+from test_errors import EXIT_IDS
 from test_readme import EXAMPLES, README
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -55,7 +57,7 @@ def run_case(argv: list[str], inputs: dict, workdir: Path) -> dict:
     files = {name: json.loads((workdir / name).read_text())
              for name in sorted(p.name for p in workdir.iterdir()) if name not in inputs}
     return {"exit": code, "stdout": json.loads(out.getvalue()) if out.getvalue() else None,
-            "stderr": err.getvalue(), "files": files}
+            "stderr": err.getvalue().replace(str(workdir), "<workdir>"), "files": files}
 
 
 def assert_matches(got, want, path: str = "$", absolute: bool = False) -> None:
@@ -86,6 +88,9 @@ def test_corpus_covers_readme():
     assert sorted(commands) == sorted(readme_commands()) and len(commands) == 7
     assert sorted(map(json.dumps, schemas)) == sorted(map(json.dumps, EXAMPLES))
     assert len(schemas) == 6
+    # every exit-code row but convergence, which needs a monkeypatched solver
+    exits = {p.stem for p, c in zip(CASES, cases) if c["source"] == "exit"}
+    assert exits == {f"exit-{name}" for name in EXIT_IDS} - {"exit-convergence"}
     assert any(c["files"] for c in cases)  # the --out command
 
 
