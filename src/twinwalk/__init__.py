@@ -3,7 +3,6 @@ perturbations in closed form and perfect / pretty-good state transfer search."""
 
 from .circulant import (
     CirculantSpec,
-    adjacency_eigenvalues,
     almost_periodic_applicable,
     build_circulant,
     gcd_class,

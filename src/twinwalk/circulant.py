@@ -57,18 +57,13 @@ def build_circulant(spec: CirculantSpec) -> WeightedGraph:
     return WeightedGraph(A)
 
 
-def adjacency_eigenvalues(spec: CirculantSpec) -> np.ndarray:
-    """Cosine-sum eigenvalues theta_l = sum_{s in S} cos(2 pi l s / n)."""
+def laplacian_eigenvalues(spec: CirculantSpec) -> np.ndarray:
+    """|S| - sum_{s in S} cos(2 pi l s / n), l in Z_n: the graph is |S|-regular."""
     l = np.arange(spec.n)
     theta = np.zeros(spec.n)
     for s in spec.S:
         theta += np.cos(2.0 * np.pi * l * s / spec.n)
-    return theta
-
-
-def laplacian_eigenvalues(spec: CirculantSpec) -> np.ndarray:
-    """|S| - theta_l; the graph is |S|-regular."""
-    return len(spec.S) - adjacency_eigenvalues(spec)
+    return len(spec.S) - theta
 
 
 def twin_condition(spec: CirculantSpec) -> bool:

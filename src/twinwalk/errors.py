@@ -26,7 +26,3 @@ class ConvergenceFailureError(TwinWalkError, ArithmeticError):
 
 class WitnessFailedError(TwinWalkError):
     """An expected transfer witness was not confirmed numerically."""
-
-
-class SizeNotMultipleOfFourWarning(UserWarning):
-    """Vertex count is not a multiple of 4; no transfer is guaranteed."""

@@ -22,7 +22,7 @@ from .circulant import (
     is_gcd_set,
     twin_condition,
 )
-from .errors import InputError, SizeNotMultipleOfFourWarning, WitnessFailedError
+from .errors import InputError, WitnessFailedError
 from .graphs import (
     WeightedGraph,
     _zero_weights,
@@ -95,7 +95,7 @@ def k4n_remove_matching(
 
     When 4 divides size, every removed pair transfers perfectly at pi/2 and
     every untouched vertex is periodic there. Other sizes are allowed for
-    negative testing: a SizeNotMultipleOfFourWarning is emitted and no witnesses are claimed.
+    negative testing: a UserWarning is emitted and no witnesses are claimed.
     """
     matching = [tuple(p) for p in matching]
     _check_disjoint(matching)
@@ -103,10 +103,7 @@ def k4n_remove_matching(
     for a, b in matching:
         G = perturb_edge(G, a, b, -1.0)
     if size % 4 != 0:
-        warnings.warn(
-            f"size {size} is not a multiple of 4; no transfer witnesses",
-            SizeNotMultipleOfFourWarning,
-        )
+        warnings.warn(f"size {size} is not a multiple of 4; no transfer witnesses")
         return FamilyInstance(G, (), "complete-minus-matching")
     witnesses = _pair_witnesses(size, matching, HALF_PI)
     return FamilyInstance(G, witnesses, "complete-minus-matching")
@@ -144,7 +141,7 @@ def quarter_weight_family(
     for a, b in pairs:
         if not is_twin_pair(G, a, b):
             raise InputError(f"({a},{b}) is not a twin pair")
-        G = perturb_edge(G, a, b, _quarter_alpha(G.weight(a, b)))
+        G = perturb_edge(G, a, b, _quarter_alpha(G.matrix[a, b]))
     witnesses = _pair_witnesses(base.n, pairs, TWO_PI)
     return FamilyInstance(G, witnesses, "quarter-weight-edge")
 

@@ -8,9 +8,7 @@ Library functions never mutate a graph; perturbations return new graphs.
 
 from __future__ import annotations
 
-from collections.abc import Mapping
 from dataclasses import dataclass
-from types import MappingProxyType
 
 import numpy as np
 
@@ -37,9 +35,9 @@ class WeightedGraph:
     """Undirected weighted graph on vertices 0..n-1, held as its weight
     matrix: a read-only copy of the array it is given, which must be square,
     non-empty, finite and symmetric with a zero diagonal, and keep the
-    Laplacian's squared Frobenius norm finite (InputError otherwise). Absent
-    edges have weight 0, so `weight(u, v) != 0` is adjacency. Graphs are
-    equal when their matrices are, and are not hashable.
+    Laplacian's squared Frobenius norm finite (InputError otherwise).
+    `matrix[u, v]` is the weight of edge (u, v), 0 when the edge is absent.
+    Graphs are equal when their matrices are, and are not hashable.
     """
 
     matrix: np.ndarray
@@ -71,17 +69,6 @@ class WeightedGraph:
     @property
     def n(self) -> int:
         return self.matrix.shape[0]
-
-    @property
-    def weights(self) -> Mapping[tuple[int, int], float]:
-        """Read-only map from (u, v) with u < v to each nonzero weight."""
-        return MappingProxyType({(int(u), int(v)): float(self.matrix[u, v])
-                                 for u, v in zip(*np.nonzero(np.triu(self.matrix)))})
-
-    def weight(self, u: int, v: int) -> float:
-        _check_vertex(self.n, u)
-        _check_vertex(self.n, v)
-        return float(self.matrix[u, v])
 
 
 def build_graph(n: int, edge_list: list[tuple[int, int, float]]) -> WeightedGraph:
@@ -154,7 +141,7 @@ def rank_one_matrix(n: int, a: int, b: int) -> np.ndarray:
 
 
 def perturb_edge(G: WeightedGraph, a: int, b: int, alpha: float) -> WeightedGraph:
-    """Return a copy of G with weight(a, b) increased by alpha.
+    """Return a copy of G with the weight of edge (a, b) increased by alpha.
 
     A resulting weight of exactly zero removes the edge. Negative results
     are kept, not rejected.

@@ -17,7 +17,7 @@ def path_graph(n: int) -> WeightedGraph:
 
 
 def naive_twin_pairs(G: WeightedGraph) -> list[tuple[int, int]]:
-    """Brute-force twin enumeration straight from the weight table."""
+    """Brute-force twin enumeration straight from the weight matrix."""
     pairs = []
     for a in range(G.n):
         for b in range(a + 1, G.n):
@@ -25,9 +25,7 @@ def naive_twin_pairs(G: WeightedGraph) -> list[tuple[int, int]]:
             for q in range(G.n):
                 if q in (a, b):
                     continue
-                wa = G.weights.get((min(a, q), max(a, q)), 0.0)
-                wb = G.weights.get((min(b, q), max(b, q)), 0.0)
-                if wa != wb:
+                if G.matrix[a, q] != G.matrix[b, q]:
                     profiles_equal = False
                     break
             if profiles_equal:

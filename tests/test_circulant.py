@@ -3,13 +3,13 @@ import pytest
 
 from twinwalk import (
     CirculantSpec,
-    adjacency_eigenvalues,
     almost_periodic_applicable,
     build_circulant,
     eigendecompose,
     gcd_class,
     is_gcd_set,
     is_twin_pair,
+    laplacian,
     laplacian_eigenvalues,
     mod_four_condition,
     twin_condition,
@@ -21,18 +21,18 @@ from conftest import cycle_graph, random_symmetric_set
 class TestSpecAndBuild:
     def test_cycle(self):
         G = build_circulant(CirculantSpec(4, frozenset({1, 3})))
-        assert G.weights == cycle_graph(4).weights
+        assert G == cycle_graph(4)
 
     def test_odd_set_z8(self):
         G = build_circulant(CirculantSpec(8, frozenset({1, 3, 5, 7})))
         for u in range(8):
             for v in range(8):
                 if u != v:
-                    assert G.weight(u, v) == (1.0 if (u - v) % 2 == 1 else 0.0)
+                    assert G.matrix[u, v] == (1.0 if (u - v) % 2 == 1 else 0.0)
 
     def test_full_set_is_complete(self):
         G = build_circulant(CirculantSpec(5, frozenset({1, 2, 3, 4})))
-        assert len(G.weights) == 10
+        assert np.array_equal(G.matrix, np.ones((5, 5)) - np.eye(5))
 
     def test_rejects_zero(self):
         with pytest.raises(InputError, match="contains 0"):
@@ -74,46 +74,49 @@ class TestGcdMachinery:
 
 class TestAnalyticEigenvalues:
     def test_c4(self):
-        theta = adjacency_eigenvalues(CirculantSpec(4, frozenset({1, 3})))
-        assert np.allclose(theta, [2.0, 0.0, -2.0, 0.0], atol=1e-12)
+        lam = laplacian_eigenvalues(CirculantSpec(4, frozenset({1, 3})))
+        assert np.allclose(lam, [0.0, 2.0, 4.0, 2.0], atol=1e-12)
 
     def test_z8_odd(self):
-        theta = adjacency_eigenvalues(CirculantSpec(8, frozenset({1, 3, 5, 7})))
-        expected = np.zeros(8)
-        expected[0] = 4.0
-        expected[4] = -4.0
-        assert np.allclose(theta, expected, atol=1e-12)
+        lam = laplacian_eigenvalues(CirculantSpec(8, frozenset({1, 3, 5, 7})))
+        expected = np.full(8, 4.0)
+        expected[0] = 0.0
+        expected[4] = 8.0
+        assert np.allclose(lam, expected, atol=1e-12)
 
     def test_theta_zero_is_degree(self, rng):
         for n in (4, 8, 16):
             for _ in range(5):
                 S = random_symmetric_set(rng, n)
                 spec = CirculantSpec(n, S)
-                theta = adjacency_eigenvalues(spec)
-                assert abs(theta[0] - len(S)) < 1e-12
+                # theta_0 = |S|, so the constant vector spans eigenvalue 0
+                assert abs(laplacian_eigenvalues(spec)[0]) < 1e-12
 
     def test_cosine_symmetry(self, rng):
         for n in (5, 8, 12):
             S = random_symmetric_set(rng, n)
-            theta = adjacency_eigenvalues(CirculantSpec(n, S))
+            lam = laplacian_eigenvalues(CirculantSpec(n, S))
             for l in range(1, n):
-                assert abs(theta[l] - theta[n - l]) < 1e-12
+                assert abs(lam[l] - lam[n - l]) < 1e-12
 
     def test_matches_jacobi_multiset(self, rng):
         for n in (4, 8, 16):
             for _ in range(20):
                 S = random_symmetric_set(rng, n)
                 spec = CirculantSpec(n, S)
-                A = build_circulant(spec).matrix
-                s = eigendecompose(A)
+                s = eigendecompose(laplacian(build_circulant(spec)))
                 jacobi = np.repeat(s.values, np.diff(s.starts, append=s.n))
-                analytic = np.sort(adjacency_eigenvalues(spec))
+                analytic = np.sort(laplacian_eigenvalues(spec))
                 assert np.abs(jacobi - analytic).max() < 1e-9
 
     def test_laplacian_shift(self):
         spec = CirculantSpec(8, frozenset({1, 3, 5, 7}))
         lap = laplacian_eigenvalues(spec)
         assert np.allclose(np.sort(lap), [0, 4, 4, 4, 4, 4, 4, 8], atol=1e-12)
+
+    def test_empty_set_is_all_zero(self):
+        lap = laplacian_eigenvalues(CirculantSpec(5, frozenset()))
+        assert lap.dtype == float and np.array_equal(lap, np.zeros(5))
 
 
 class TestPredicates:
@@ -151,7 +154,7 @@ class TestPredicates:
                 for x in range(n // 2):
                     assert is_twin_pair(G, x, x + n // 2)
                     # so the circulant twin-edge family never meets an edge
-                    assert G.weight(x, x + n // 2) == 0.0
+                    assert G.matrix[x, x + n // 2] == 0.0
             assert found > 0
 
 
@@ -172,6 +175,6 @@ class TestIntegralityCharacterization:
     @pytest.mark.parametrize("n", range(3, 11))
     def test_gcd_set_iff_integral_spectrum(self, n):
         for S in all_symmetric_sets(n):
-            theta = adjacency_eigenvalues(CirculantSpec(n, S)) if S else np.zeros(n)
-            integral = bool(np.all(np.abs(theta - np.round(theta)) <= 1e-6))
+            lam = laplacian_eigenvalues(CirculantSpec(n, S))
+            integral = bool(np.all(np.abs(lam - np.round(lam)) <= 1e-6))
             assert integral == is_gcd_set(n, S), f"n={n}, S={set(S)}"

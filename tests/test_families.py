@@ -14,7 +14,7 @@ from twinwalk import (
     quarter_weight_family,
     verify_family,
 )
-from twinwalk.errors import InputError, SizeNotMultipleOfFourWarning, WitnessFailedError
+from twinwalk.errors import IndexOutOfRangeError, InputError, WitnessFailedError
 from twinwalk.families import ExpectedWitness, FamilyInstance, _quarter_alpha
 from twinwalk.jsonio import family_from_obj
 from conftest import cycle_graph, path_graph
@@ -25,10 +25,10 @@ PI = np.pi
 class TestCompleteGraph:
     def test_triangle(self):
         G = complete_graph(3)
-        assert G.weights == {(0, 1): 1.0, (0, 2): 1.0, (1, 2): 1.0}
+        assert np.array_equal(G.matrix, [[0, 1, 1], [1, 0, 1], [1, 1, 0]])
 
     def test_k8_edge_count(self):
-        assert len(complete_graph(8).weights) == 28
+        assert np.count_nonzero(np.triu(complete_graph(8).matrix)) == 28
 
     def test_k4_laplacian(self):
         L = laplacian(complete_graph(4))
@@ -75,7 +75,7 @@ class TestMatchingRemoval:
         assert {r.kind for r in reports} == {TransferKind.LPST, TransferKind.PERIODIC}
 
     def test_k6_warns_and_claims_nothing(self):
-        with pytest.warns(SizeNotMultipleOfFourWarning):
+        with pytest.warns(UserWarning, match="not a multiple of 4"):
             fi = k4n_remove_matching(6, [(0, 1)])
         assert fi.expected_witnesses == ()
         assert verify_family(fi) == []
@@ -106,7 +106,7 @@ class TestMatchingRemoval:
 class TestQuarterWeight:
     def test_k3(self):
         fi = quarter_weight_family(complete_graph(3), [(0, 2)])
-        assert fi.graph.weight(0, 2) == 0.25
+        assert fi.graph.matrix[0, 2] == 0.25
         reports = verify_family(fi)
         assert [r.kind for r in reports] == [TransferKind.LPST, TransferKind.PERIODIC]
         assert all(r.fidelity >= 1.0 - 1e-9 for r in reports)
@@ -114,8 +114,8 @@ class TestQuarterWeight:
 
     def test_k5_two_pairs_successively(self):
         fi = quarter_weight_family(complete_graph(5), [(0, 2), (1, 3)])
-        assert fi.graph.weight(0, 2) == 0.25
-        assert fi.graph.weight(1, 3) == 0.25
+        assert fi.graph.matrix[0, 2] == 0.25
+        assert fi.graph.matrix[1, 3] == 0.25
         reports = verify_family(fi)
         kinds = [(r.kind, r.source, r.target) for r in reports]
         assert (TransferKind.LPST, 0, 2) in kinds
@@ -125,8 +125,14 @@ class TestQuarterWeight:
     def test_c4_nonadjacent_pair(self):
         # C_4 is Laplacian integral; (0,2) is a non-adjacent twin pair
         fi = quarter_weight_family(cycle_graph(4), [(0, 2)])
-        assert fi.graph.weight(0, 2) == 0.25
+        assert fi.graph.matrix[0, 2] == 0.25
         assert all(r.fidelity >= 1.0 - 1e-9 for r in verify_family(fi))
+
+    @pytest.mark.parametrize("pair", [(0, 4), (0, -1), (-1, 2)])
+    def test_out_of_range_pair_rejected(self, pair):
+        # the twin test range-checks the pair before its weight is read
+        with pytest.raises(IndexOutOfRangeError):
+            quarter_weight_family(cycle_graph(4), [pair])
 
     def test_non_integral_rejected(self):
         with pytest.raises(InputError, match="not Laplacian integral"):

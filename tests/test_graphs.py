@@ -29,22 +29,22 @@ class TestBuildGraph:
     def test_cycle_four(self):
         G = build_graph(4, [(0, 1, 1), (1, 2, 1), (2, 3, 1), (3, 0, 1)])
         assert G.n == 4
-        assert G.weights == {(0, 1): 1.0, (1, 2): 1.0, (2, 3): 1.0, (0, 3): 1.0}
+        assert np.array_equal(G.matrix, [[0, 1, 0, 1], [1, 0, 1, 0],
+                                         [0, 1, 0, 1], [1, 0, 1, 0]])
 
     def test_single_vertex(self):
         G = build_graph(1, [])
-        assert G.n == 1 and G.weights == {}
+        assert G.n == 1 and np.array_equal(G.matrix, [[0.0]])
 
     def test_complete_five(self):
         G = complete(5)
-        assert len(G.weights) == 10
-        assert all(w == 1.0 for w in G.weights.values())
+        assert np.array_equal(G.matrix, np.ones((5, 5)) - np.eye(5))
 
     def test_symmetric_lookup(self):
         G = build_graph(3, [(2, 0, 0.5)])
-        assert G.weight(0, 2) == 0.5
-        assert G.weight(2, 0) == 0.5
-        assert G.weight(0, 1) == 0.0
+        assert G.matrix[0, 2] == 0.5
+        assert G.matrix[2, 0] == 0.5
+        assert G.matrix[0, 1] == 0.0
 
     # The ids name the kind of fault each message reports.
     @pytest.mark.parametrize(
@@ -70,14 +70,6 @@ class TestBuildGraph:
     def test_rejects_bad_edges(self, edges, err, match):
         with pytest.raises(err, match=match):
             build_graph(4, edges)
-
-    def test_weights_are_read_only(self):
-        source = np.array([[0.0, 1.0], [1.0, 0.0]])
-        G = WeightedGraph(source)
-        with pytest.raises(TypeError):
-            G.weights[(0, 1)] = 2.0
-        source[0, 1] = source[1, 0] = 5.0
-        assert G.weight(0, 1) == 1.0
 
 
 class TestWeightMatrix:
@@ -132,27 +124,15 @@ class TestWeightMatrix:
 
     def test_weight_is_symmetric_and_matches_laplacian(self):
         for G in self.graphs():
-            L = laplacian(G)
-            for u in range(G.n):
-                for v in range(G.n):
-                    if u != v:
-                        assert G.weight(u, v) == G.weight(v, u) == -L[u, v]
-            assert G.weights == {
-                (u, v): G.weight(u, v)
-                for u in range(G.n) for v in range(u + 1, G.n) if G.weight(u, v)
-            }
-
-    def test_weight_rejects_out_of_range(self):
-        G = cycle_graph(4)
-        for u, v in [(4, 0), (0, 4), (-1, 0)]:
-            with pytest.raises(IndexOutOfRangeError):
-                G.weight(u, v)
+            off = ~np.eye(G.n, dtype=bool)
+            assert np.array_equal(G.matrix, G.matrix.T)
+            assert np.array_equal(G.matrix[off], -laplacian(G)[off])
 
     def test_matrix_is_a_read_only_copy(self):
         source = np.ones((3, 3)) - np.eye(3)
         G = WeightedGraph(source)
         source[0, 1] = source[1, 0] = 7.0
-        assert G.weight(0, 1) == 1.0
+        assert G.matrix[0, 1] == 1.0
         with pytest.raises(ValueError):
             G.matrix[0, 1] = 2.0
 
@@ -162,7 +142,7 @@ class TestWeightMatrix:
     def test_roundtrip_keeps_weights_and_read_only_flag(self, roundtrip):
         G = perturb_edge(cycle_graph(5), 0, 2, 0.25)
         H = roundtrip(G)
-        assert H == G and H.weights == G.weights
+        assert H == G
         assert not H.matrix.flags.writeable
         with pytest.raises(ValueError):
             H.matrix[0, 2] = 1.0
@@ -170,7 +150,7 @@ class TestWeightMatrix:
     def test_equality_and_hashing(self):
         assert cycle_graph(4) == cycle_graph(4)
         assert cycle_graph(4) != path_graph(4)
-        assert cycle_graph(4) != cycle_graph(4).weights
+        assert cycle_graph(4) != cycle_graph(4).matrix.tolist()
         with pytest.raises(TypeError):
             hash(cycle_graph(4))
 
@@ -189,10 +169,10 @@ class TestMatrices:
         L = laplacian(G)
         # direct summation oracle: diagonal equals the row weight sum
         for u in range(4):
-            assert L[u, u] == sum(G.weight(u, q) for q in range(4))
+            assert L[u, u] == sum(G.matrix[u, q] for q in range(4))
             for v in range(4):
                 if u != v:
-                    assert L[u, v] == -G.weight(u, v)
+                    assert L[u, v] == -G.matrix[u, v]
         assert np.array_equal(L.sum(axis=1), np.zeros(4))
 
     def test_adjacency_k2(self):
@@ -319,18 +299,17 @@ class TestRankOne:
 class TestPerturbEdge:
     def test_c4_chord(self):
         G = perturb_edge(cycle_graph(4), 0, 2, 2.0)
-        assert G.weight(0, 2) == 2.0
-        assert G.weight(0, 1) == 1.0
+        assert G.matrix[0, 2] == G.matrix[2, 0] == 2.0
+        assert G.matrix[0, 1] == 1.0
 
     def test_k4_remove_edge(self):
         G = perturb_edge(complete(4), 0, 1, -1.0)
-        assert G.weight(0, 1) == 0.0
-        assert (0, 1) not in G.weights
+        assert G.matrix[0, 1] == G.matrix[1, 0] == 0.0
         assert not (G.matrix < 0).any()
 
     def test_alpha_zero_identity(self):
         G = cycle_graph(5)
-        assert perturb_edge(G, 1, 3, 0.0).weights == G.weights
+        assert perturb_edge(G, 1, 3, 0.0) == G
 
     @pytest.mark.parametrize("alpha", [float("nan"), float("inf"), -float("inf")])
     def test_non_finite_alpha_rejected(self, alpha):
@@ -347,7 +326,7 @@ class TestPerturbEdge:
 
     def test_negative_weight_flagged(self):
         G = perturb_edge(cycle_graph(4), 0, 1, -1.5)
-        assert G.weight(0, 1) == -0.5
+        assert G.matrix[0, 1] == -0.5
         assert (G.matrix < 0).any()
 
     def test_laplacian_identity_exact(self):
