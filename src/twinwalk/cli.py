@@ -243,8 +243,7 @@ def main(argv: list[str] | None = None) -> int:
         except ConvergenceFailureError as exc:
             print(json.dumps({"error": str(exc)}), file=sys.stderr)
             return EXIT_NUMERIC
-        # ValueError: the 4300-digit int limit (json.load, "K<digits>"), a negative --seed
-        except (TwinWalkError, ValueError) as exc:
+        except TwinWalkError as exc:
             print(json.dumps({"error": str(exc)}), file=sys.stderr)
             return EXIT_INPUT
 

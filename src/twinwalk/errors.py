@@ -1,9 +1,11 @@
 """Exception hierarchy for twinwalk.
 
 Every error raised by the library derives from TwinWalkError so callers can
-catch the whole family at once. The classes are the categories a caller can
-act on differently; the command line maps them to exit codes (InputError and
-IndexOutOfRangeError 2, ConvergenceFailureError 3, WitnessFailedError 1).
+catch the whole family at once; a rejected input is an InputError even when
+a builtin (json, int, numpy's seeding) rejected it first. The classes are
+the categories a caller can act on differently; the command line catches
+only these and maps them to exit codes (InputError and IndexOutOfRangeError
+2, ConvergenceFailureError 3, WitnessFailedError 1).
 """
 
 

@@ -71,12 +71,16 @@ def complete_graph(n: int) -> WeightedGraph:
     return WeightedGraph(A)
 
 
-def _check_disjoint(pairs: list[tuple[int, int]]) -> None:
+def _check_disjoint(pairs) -> list[tuple[int, int]]:
+    """The pairs, which may be any iterable, as a list of tuples; InputError
+    unless they are vertex-disjoint."""
+    pairs = [tuple(p) for p in pairs]
     seen: set[int] = set()
     for a, b in pairs:
         if a in seen or b in seen or a == b:
             raise InputError(f"pair ({a},{b}) reuses a vertex")
         seen.update((a, b))
+    return pairs
 
 
 def _pair_witnesses(n: int, pairs: list[tuple[int, int]], t: float) -> tuple:
@@ -97,8 +101,7 @@ def k4n_remove_matching(
     every untouched vertex is periodic there. Other sizes are allowed for
     negative testing: a UserWarning is emitted and no witnesses are claimed.
     """
-    matching = [tuple(p) for p in matching]
-    _check_disjoint(matching)
+    matching = _check_disjoint(matching)
     G = complete_graph(size)
     for a, b in matching:
         G = perturb_edge(G, a, b, -1.0)
@@ -133,8 +136,7 @@ def quarter_weight_family(
     later pairs touch, which is all the construction needs. Raises
     InputError when a pair is not twins in the graph it perturbs.
     """
-    pairs = [tuple(p) for p in pairs]
-    _check_disjoint(pairs)
+    pairs = _check_disjoint(pairs)
     if not is_integral_spectrum(eigendecompose(laplacian(base))):
         raise InputError("base graph is not Laplacian integral")
     G = base
@@ -167,10 +169,9 @@ def circulant_twin_edge_family(
             "twin condition failed: connection set is not fixed by s -> n/2 - s"
         )
     half = spec.n // 2
-    pairs = [tuple(p) for p in pairs]
-    _check_disjoint(pairs)
+    pairs = _check_disjoint(pairs)
     for a, b in pairs:
-        if (b - a) % spec.n != half and (a - b) % spec.n != half:
+        if (b - a) % spec.n != half:  # the same as (a - b) % n != n/2
             raise InputError(
                 f"pair ({a},{b}) is not antipodal (offset n/2)"
             )

@@ -67,7 +67,10 @@ def run_identity_checks(
     """
     if trials < 1:
         raise InputError("trials must be at least 1")
-    rng = np.random.default_rng(seed)
+    try:
+        rng = np.random.default_rng(seed)
+    except ValueError as exc:  # a negative seed
+        raise InputError(f"seed {seed}: {exc}") from exc
     devs = dict.fromkeys(
         ("perturbation_laplacian", "twin_commutation", "rank_one_power_law",
          "factorization_vs_oracle", "propagator_unitarity", "spectral_vs_oracle"),

@@ -89,7 +89,11 @@ def _base_graph_from(value: Any) -> WeightedGraph:
         m = re.fullmatch(r"K(\d+)", value)
         if not m:
             raise InputError(f'unrecognized base graph name "{value}"')
-        return complete_graph(int(m.group(1)))
+        try:
+            n = int(m.group(1))
+        except ValueError as exc:  # more digits than int() converts
+            raise InputError(f"base graph size: {exc}") from exc
+        return complete_graph(n)
     return graph_from_obj(value)
 
 
@@ -131,7 +135,9 @@ def load_json(path: str | Path) -> Any:
             return json.load(fh)
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    # bad bytes or syntax, nesting past the recursion limit, or an integer
+    # with more digits than int() converts
+    except (ValueError, RecursionError) as exc:
         raise InputError(f"invalid JSON in {path}: {exc}") from exc
 
 

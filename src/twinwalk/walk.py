@@ -232,8 +232,10 @@ def pgst_scan(
     1024th time t of the step, c being the transfer coefficients of (a, b):
     one exponential per cluster and block. This form and transfer_amplitudes
     each round mu_j t by about eps |mu_j| t, so their fidelities agree to
-    that order. Memory is about 8192 x 40 B for the step's times, amplitudes
-    and magnitudes plus 1024 k x 16 B for the table, whatever q_max is.
+    that order. Every time of a step is evaluated, so InputError as soon as
+    a step holds a time whose phase exceeds pi/eps. Memory is about 8192 x
+    40 B for the step's times, amplitudes and magnitudes plus 1024 k x 16 B
+    for the table, whatever q_max is.
     """
     if q_max < 1:
         raise InputError("q_max must be at least 1")
@@ -244,7 +246,7 @@ def pgst_scan(
         raise InputError("epsilons must be strictly decreasing within (0, 1)")
     s = _spectrum_of(G)
     c = s.coefficients(a, b)
-    rows = min(_PHASE_TABLE_ROWS, _PGST_STEP, q_max + 1)
+    rows = min(_PHASE_TABLE_ROWS, q_max + 1)
     table = np.exp(-2j * np.pi * np.outer(np.arange(rows), s.values))
     times: list[float] = []
     fids: list[float] = []
@@ -255,6 +257,7 @@ def pgst_scan(
     while q0 <= q_max:
         q1 = min(q0 + _PGST_STEP, q_max + 1)
         ts = (4.0 * np.arange(q0, q1) + 1.0) * (np.pi / 2.0)
+        _phases(s.values, ts[-1])  # the table adds up to ts[-1] - ts[0] to each phase
         block = _phases(s.values, ts[::rows]) * c
         amps = (block @ table.T).ravel()[: q1 - q0]
         mags = np.abs(amps)

@@ -11,10 +11,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from twinwalk import identities
-from twinwalk.cli import main
+from twinwalk.cli import build_parser, main
+from twinwalk.errors import InputError
 from conftest import cycle_graph
 
 C4 = {"n": 4, "edges": [[0, 1], [1, 2], [2, 3], [3, 0]]}
+# eigenvalues 0, 2e12 and 4e12: mu t passes pi/eps near t = 3500
+C4_HEAVY = {"n": 4, "edges": [[u, (u + 1) % 4, 1e12] for u in range(4)]}
 P5 = {"n": 5, "edges": [[0, 1], [1, 2], [2, 3], [3, 4]]}
 K3 = {"n": 3, "edges": [[0, 1], [0, 2], [1, 2]]}
 K4_MINUS_01 = {"n": 4, "edges": [[0, 2], [0, 3], [1, 2], [1, 3], [2, 3]]}
@@ -404,6 +407,30 @@ class TestErrorsAndOutput:
         code = main([command, "--input", write(tmp_path, "doc.json", doc)])
         assert "must be" in assert_input_error(code, capsys.readouterr())
 
+    @pytest.mark.parametrize(
+        "argv, text, phrase",
+        [
+            (["twins"], '{"n": ' + "1" * 5000 + "}", "(4300 digits)"),
+            (["family"], json.dumps({"family": "quarter_weight", "base": "K" + "1" * 5000}),
+             "(4300 digits)"),
+            (["verify-identities", "--seed", "-1"], None, "expected non-negative integer"),
+            (["twins"], "[" * 100_000 + "]" * 100_000, "maximum recursion depth"),
+        ],
+        ids=["json_digits", "base_name_digits", "negative_seed", "json_nesting"],
+    )
+    def test_rejected_input_is_an_input_error(self, tmp_path, capsys, argv, text, phrase):
+        # the first three raised a bare ValueError and the last a
+        # RecursionError, a traceback; the library now raises InputError
+        if text is not None:
+            path = tmp_path / "doc.json"
+            path.write_text(text)
+            argv = [argv[0], "--input", str(path), *argv[1:]]
+        assert phrase in assert_input_error(main(argv), capsys.readouterr())
+        args = build_parser().parse_args(argv)
+        with pytest.raises(InputError) as info:
+            args.func(args)
+        assert phrase in str(info.value)
+
     def test_missing_file(self):
         assert main(["twins", "--input", "/nonexistent/g.json"]) == 2
 
@@ -448,19 +475,25 @@ class TestErrorsAndOutput:
         assert "overflow" in assert_input_error(code, capsys.readouterr())
 
     @pytest.mark.parametrize(
-        "argv",
+        "doc, argv",
         [
-            ["check", "--from", "0", "--to", "2", "--time", "1e308"],
-            ["scan", "--from", "0", "--to", "2", "--t-max", "1e308"],
-            ["check", "--from", "0", "--to", "2", "--time", "1e307"],
-            ["scan", "--from", "0", "--to", "2", "--t-max", "1e300"],
+            (C4, ["check", "--from", "0", "--to", "2", "--time", "1e308"]),
+            (C4, ["scan", "--from", "0", "--to", "2", "--t-max", "1e308"]),
+            (C4, ["check", "--from", "0", "--to", "2", "--time", "1e307"]),
+            (C4, ["scan", "--from", "0", "--to", "2", "--t-max", "1e300"]),
+            # the scan's last time, 2001 pi, as a check and as a pgst scan,
+            # which swept it without a check and gave a verdict (exit 1)
+            (C4_HEAVY, ["check", "--from", "0", "--to", "2", "--time", "6285"]),
+            (C4_HEAVY, ["scan", "--from", "0", "--to", "2", "--mode", "pgst",
+                        "--q-max", "1000"]),
         ],
-        ids=["check_time", "scan_t_max", "check_time_rounding", "scan_t_max_rounding"],
+        ids=["check_time", "scan_t_max", "check_time_rounding", "scan_t_max_rounding",
+             "check_time_heavy", "scan_pgst_table"],
     )
-    def test_overflowing_phase_exits_2(self, tmp_path, capsys, argv):
+    def test_overflowing_phase_exits_2(self, tmp_path, capsys, doc, argv):
         # mu t = 4e308 overflowed to a NaN fidelity, printed as invalid JSON;
         # a finite mu t beyond pi/eps gave a verdict made of rounding
-        path = write(tmp_path, "g.json", C4)
+        path = write(tmp_path, "g.json", doc)
         code = main([argv[0], "--input", path, *argv[1:]])
         assert "phase" in assert_input_error(code, capsys.readouterr())
 

@@ -5,6 +5,7 @@ TwinWalkError class, and each class maps to one command-line exit code."""
 import ast
 import json
 import math
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -12,6 +13,7 @@ import pytest
 import twinwalk
 from twinwalk import (
     CirculantSpec,
+    WeightedGraph,
     build_graph,
     check_lpst,
     check_periodic,
@@ -38,6 +40,7 @@ from twinwalk.errors import (
 )
 from twinwalk.families import FamilyInstance
 from twinwalk.identities import run_identity_checks
+from twinwalk.jsonio import family_from_obj, load_json
 from conftest import cycle_graph
 from test_cli import C4, write
 
@@ -46,6 +49,18 @@ SRC = Path(twinwalk.__file__).parent
 
 def c4():
     return cycle_graph(4)
+
+
+def heavy_c4():
+    """C4 at edge weight 1e12: eigenvalues 0, 2e12 and 4e12."""
+    return WeightedGraph(1e12 * c4().matrix)
+
+
+def load_text(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "doc.json"
+        path.write_text(text)
+        return load_json(path)
 
 
 def c4_spectrum():
@@ -80,6 +95,9 @@ REJECTED = [
     # finite phases beyond pi/eps, where one rounding of mu t exceeds pi
     ("verdict_rounding", lambda: check_lpst(c4(), 0, 2, 1e307), "every phase mu t"),
     ("t_max_rounding", lambda: pst_time_scan(c4(), 0, 2, 1e300), "every phase mu t"),
+    # 1001 times from pi/2 to 2001 pi in one phase-table block
+    ("pgst_table_phase", lambda: pgst_scan(heavy_c4(), 0, 2, q_max=1000),
+     "every phase mu t"),
     ("verdict_tol", lambda: check_lpst(c4(), 0, 1, 1.0, tol=2.0),
      r"tol must lie in \(0, 1\)"),
     ("verdict_t", lambda: check_periodic(c4(), 0, math.nan), "t must be finite"),
@@ -92,6 +110,13 @@ REJECTED = [
     ("build_graph", lambda: build_graph(0, []), "vertex count must be positive, got 0"),
     ("build_graph_too_large", lambda: build_graph(10**9, []),
      "vertex count 1000000000 is too large"),
+    # integers past int()'s 4300-digit limit and a seed numpy rejects
+    ("json_digits", lambda: load_text('{"n": ' + "1" * 5000 + "}"), r"\(4300 digits\)"),
+    ("base_name_digits",
+     lambda: family_from_obj({"family": "quarter_weight", "base": "K" + "1" * 5000}),
+     r"\(4300 digits\)"),
+    ("negative_seed", lambda: run_identity_checks(None, -1, 1),
+     "seed -1: expected non-negative integer"),
 ]
 
 
@@ -123,6 +148,23 @@ def test_every_raise_names_a_twinwalk_error_and_every_class_is_used():
                 used.update(ast.unparse(arg) for arg in node.args[1:])
     # the base class is what callers catch; nothing raises it directly
     assert defined - used == {"TwinWalkError"}
+
+
+def test_cli_main_catches_only_twinwalk_errors():
+    """An input the library lets through as a builtin error is a traceback,
+    not an exit code hidden by a broad catch in main."""
+    tree = ast.parse((SRC / "cli.py").read_text())
+    main_def = next(node for node in tree.body
+                    if isinstance(node, ast.FunctionDef) and node.name == "main")
+    caught = []
+    for handler in ast.walk(main_def):
+        if isinstance(handler, ast.ExceptHandler):
+            types = handler.type.elts if isinstance(handler.type, ast.Tuple) else [handler.type]
+            caught += [ast.unparse(t) if t is not None else "bare except" for t in types]
+    assert caught
+    for name in caught:
+        cls = getattr(errors, name, None)
+        assert isinstance(cls, type) and cls.__module__ == errors.__name__, name
 
 
 Z16_PGST = {"family": "circulant_twin", "n": 16, "S": [1, 7, 9, 15], "pairs": [[0, 8]]}

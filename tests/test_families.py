@@ -227,6 +227,22 @@ class TestCirculantTwinEdges:
         assert check_lpst(G2, 1, 5, PI / 2).kind is TransferKind.LPST
 
 
+@pytest.mark.parametrize("build, pairs", [
+    (lambda p: k4n_remove_matching(8, p), [(0, 4), (1, 5)]),
+    (lambda p: quarter_weight_family(complete_graph(5), p), [(0, 2), (1, 3)]),
+    # either order of an antipodal pair
+    (lambda p: circulant_twin_edge_family(CirculantSpec(8, frozenset({1, 3, 5, 7})), p),
+     [(4, 0), (1, 5)]),
+], ids=["k4n", "quarter_weight", "circulant_twin"])
+def test_pairs_may_be_any_iterable(build, pairs):
+    # each builder reads its pairs twice: to check them and to add the edges
+    from_lists = build([list(p) for p in pairs])
+    from_generator = build(p for p in pairs)
+    assert from_generator.graph == from_lists.graph
+    assert from_generator.expected_witnesses == from_lists.expected_witnesses
+    assert len(from_lists.expected_witnesses) >= len(pairs)
+
+
 class TestVerifyFamily:
     def test_empty_witness_list(self):
         fi = FamilyInstance(cycle_graph(4), (), "empty")
