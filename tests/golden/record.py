@@ -9,7 +9,10 @@ tests/test_errors.py's EXIT_TABLE, except `convergence`: that row makes the
 eigensolver give up by monkeypatching its sweep limit, which a case (argv
 and input documents) cannot express. Two more `family` cases verify
 families the schema examples do not: K16 minus a 4-edge matching, and
-quarter weights on a nested-graph base. Each case stores what the command
+quarter weights on a nested-graph base. Four `rejected` cases pin inputs
+the library rejects: a pgst scan whose phase table passes pi/eps, an
+integer past int()'s 4300-digit limit in a document and in a "K<n>" base
+name, and a negative seed. Each case stores what the command
 printed with the code checked out when this script runs, so record on the
 code whose output the corpus should pin, then commit the JSON files.
 """
@@ -47,6 +50,18 @@ COMMAND_INPUTS = [
     ("twins-out", {"graph.json": C4}),
 ]
 
+DIGITS = "1" * 5000
+REJECTED = [
+    ("pgst-table-phase", ["scan", "--input", "graph.json", "--from", "0", "--to", "2",
+                          "--mode", "pgst", "--q-max", "1000"],
+     {"graph.json": {"n": 4, "edges": [[u, (u + 1) % 4, 1e12] for u in range(4)]}}),
+    # a string input is the file's text: json.dumps cannot write the integer
+    ("json-digits", ["twins", "--input", "doc.json"], {"doc.json": '{"n": ' + DIGITS + "}"}),
+    ("base-name-digits", ["family", "--input", "doc.json"],
+     {"doc.json": {"family": "quarter_weight", "base": "K" + DIGITS}}),
+    ("negative-seed", ["verify-identities", "--seed", "-1"], {}),
+]
+
 FAMILY_INPUTS = [
     ("k4n-16", {"family": "k4n_matching", "size": 16,
                 "matching": [[0, 1], [2, 3], [4, 5], [6, 7]]}),
@@ -70,6 +85,8 @@ def cases() -> list[tuple[str, str, list[str], dict]]:
     for name, doc in FAMILY_INPUTS:
         out.append((f"family-{name}", "family", ["family", "--input", "doc.json"],
                     {"doc.json": doc}))
+    for name, argv, inputs in REJECTED:
+        out.append((f"rejected-{name}", "rejected", argv, inputs))
     return out
 
 

@@ -1,7 +1,8 @@
 """Golden command-line corpus: README's commands and schema examples, replayed.
 
 Each `tests/golden/*.json` case holds an argv, the input documents it reads
-(written to a temporary directory that its --input and --out paths name),
+(written to a temporary directory that its --input and --out paths name;
+a string is written as the file's text, for inputs that are not JSON values),
 and what the command produced when the case was recorded: exit code,
 stdout, stderr and, for an `--out` command, the written file.
 A path inside the temporary directory is stored with `<workdir>` in its
@@ -42,10 +43,10 @@ def readme_commands() -> list[list[str]]:
 
 def run_case(argv: list[str], inputs: dict, workdir: Path) -> dict:
     """Run argv through cli.main with its --input and --out files in
-    workdir, each input document written there first; return what a case
-    records."""
+    workdir, each input document written there first (a string as the
+    file's text); return what a case records."""
     for name, doc in inputs.items():
-        (workdir / name).write_text(json.dumps(doc))
+        (workdir / name).write_text(doc if isinstance(doc, str) else json.dumps(doc))
     argv = [str(workdir / arg) if prev in ("--input", "--out") else arg
             for prev, arg in zip([None, *argv], argv)]
     out, err = io.StringIO(), io.StringIO()
