@@ -110,7 +110,10 @@ REJECTED = [
     ("build_graph", lambda: build_graph(0, []), "vertex count must be positive, got 0"),
     ("build_graph_too_large", lambda: build_graph(10**9, []),
      "vertex count 1000000000 is too large"),
-    # integers past int()'s 4300-digit limit and a seed numpy rejects
+    # integers past int()'s 4300-digit limit, nesting past the recursion
+    # limit and a seed numpy rejects
+    ("json_nesting", lambda: load_text("[" * 100_000 + "]" * 100_000),
+     "maximum recursion depth"),
     ("json_digits", lambda: load_text('{"n": ' + "1" * 5000 + "}"), r"\(4300 digits\)"),
     ("base_name_digits",
      lambda: family_from_obj({"family": "quarter_weight", "base": "K" + "1" * 5000}),
