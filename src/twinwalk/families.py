@@ -171,7 +171,7 @@ def circulant_twin_edge_family(
     half = spec.n // 2
     pairs = _check_disjoint(pairs)
     for a, b in pairs:
-        if (b - a) % spec.n != half:  # the same as (a - b) % n != n/2
+        if (b - a) % spec.n != half:  # -n/2 = n/2 mod n, so either order
             raise InputError(
                 f"pair ({a},{b}) is not antipodal (offset n/2)"
             )

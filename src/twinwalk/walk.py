@@ -257,7 +257,7 @@ def pgst_scan(
     while q0 <= q_max:
         q1 = min(q0 + _PGST_STEP, q_max + 1)
         ts = (4.0 * np.arange(q0, q1) + 1.0) * (np.pi / 2.0)
-        _phases(s.values, ts[-1])  # the table adds up to ts[-1] - ts[0] to each phase
+        _phases(s.values, ts[-1])  # the table adds 2 pi mu r to each block start
         block = _phases(s.values, ts[::rows]) * c
         amps = (block @ table.T).ravel()[: q1 - q0]
         mags = np.abs(amps)
