@@ -1,14 +1,16 @@
-"""Golden command-line corpus: README's commands and schema examples, replayed.
+"""Golden command-line corpus, replayed: README's commands and schema
+examples, the exit-code table, two more families and rejected inputs.
 
 Each `tests/golden/*.json` case holds an argv, the input documents it reads
 (written to a temporary directory that its --input and --out paths name;
 a string is written as the file's text, for inputs that are not JSON values),
 and what the command produced when the case was recorded: exit code,
-stdout, stderr and, for an `--out` command, the written file.
-A path inside the temporary directory is stored with `<workdir>` in its
-place. `tests/golden/record.py` writes the cases. Keys, strings, integers (vertices, q), exit codes and stderr
-must match exactly; floats to 1e-12 relative, except phases and identity
-deviations, which sit near 0 and match to 1e-12 absolute.
+stdout, stderr and, for an `--out` command, the written file. A path inside
+the temporary directory is stored with `<workdir>` in its place.
+`tests/golden/record.py` writes the cases. Keys, strings, integers
+(vertices, q), exit codes and stderr must match exactly; floats to 1e-12
+relative, except phases and identity deviations, which sit near 0 and
+match to 1e-12 absolute.
 """
 
 from __future__ import annotations
