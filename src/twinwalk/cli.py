@@ -136,23 +136,13 @@ def _cmd_scan(args: argparse.Namespace) -> int:
 
 def _cmd_family(args: argparse.Namespace) -> int:
     fi = load_family(args.input)
+    doc = {"provenance": fi.provenance, "all_passed": True}
     try:
-        reports = verify_family(fi, args.tol, args.q_max)
+        doc["reports"] = [_report_obj(r) for r in verify_family(fi, args.tol, args.q_max)]
     except WitnessFailedError as exc:
-        _emit(
-            {"provenance": fi.provenance, "all_passed": False, "error": str(exc)},
-            args.out,
-        )
-        return EXIT_NO_WITNESS
-    _emit(
-        {
-            "provenance": fi.provenance,
-            "all_passed": True,
-            "reports": [_report_obj(r) for r in reports],
-        },
-        args.out,
-    )
-    return EXIT_OK
+        doc.update(all_passed=False, error=str(exc))
+    _emit(doc, args.out)
+    return EXIT_OK if doc["all_passed"] else EXIT_NO_WITNESS
 
 
 def _cmd_verify_identities(args: argparse.Namespace) -> int:

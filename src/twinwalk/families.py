@@ -48,11 +48,10 @@ TWO_PI = 2.0 * math.pi
 
 @dataclass(frozen=True)
 class ExpectedWitness:
-    """One guaranteed transfer fact: kind LPST/PGST between a and b, or
-    PERIODIC at a (= b). PGST witnesses carry no fixed time; the scan over
-    (4q+1) pi/2 finds one."""
+    """One guaranteed transfer fact, whose kind its fields imply: PGST from a
+    to b when time is None (the scan over (4q+1) pi/2 finds a time), else
+    PERIODIC at a when a == b, else LPST from a to b at time."""
 
-    kind: TransferKind
     a: int
     b: int
     time: float | None
@@ -86,10 +85,8 @@ def _check_disjoint(pairs) -> list[tuple[int, int]]:
 def _pair_witnesses(n: int, pairs: list[tuple[int, int]], t: float) -> tuple:
     """LPST on every pair and PERIODIC at every vertex no pair touches."""
     touched = {v for p in pairs for v in p}
-    lpst = [ExpectedWitness(TransferKind.LPST, a, b, t) for a, b in pairs]
-    periodic = [ExpectedWitness(TransferKind.PERIODIC, p, p, t)
-                for p in range(n) if p not in touched]
-    return tuple(lpst + periodic)
+    return tuple([ExpectedWitness(a, b, t) for a, b in pairs]
+                 + [ExpectedWitness(p, p, t) for p in range(n) if p not in touched])
 
 
 def k4n_remove_matching(
@@ -178,14 +175,8 @@ def circulant_twin_edge_family(
     # S = n/2 - S and 0 not in S keep n/2 out of S: no pair is an edge yet.
     for a, b in pairs:
         G = perturb_edge(G, a, b, 1.0)
-    if is_gcd_set(spec.n, spec.S):
-        witnesses = tuple(
-            ExpectedWitness(TransferKind.LPST, a, b, HALF_PI) for a, b in pairs
-        )
-    else:
-        witnesses = tuple(
-            ExpectedWitness(TransferKind.PGST, a, b, None) for a, b in pairs
-        )
+    t = HALF_PI if is_gcd_set(spec.n, spec.S) else None
+    witnesses = tuple(ExpectedWitness(a, b, t) for a, b in pairs)
     return FamilyInstance(G, witnesses, "circulant-twin-edge")
 
 
@@ -194,22 +185,19 @@ def verify_family(
 ) -> list[TransferReport]:
     """Recompute every expected witness through the walk engine.
 
-    LPST and PERIODIC witnesses pass at fidelity >= 1 - tol, with tol in
-    (0, 1); PGST witnesses scan q <= q_max for every DEFAULT_EPSILONS
-    threshold and pass once the smallest is reached. Raises
-    WitnessFailedError at the first witness the numerics do not confirm;
-    otherwise returns one report per witness.
+    A timed witness passes at fidelity >= 1 - tol, with tol in (0, 1): a
+    PERIODIC one (a == b) through check_periodic, an LPST one through
+    check_lpst. PGST when time is None: the witness scans q <= q_max for
+    every DEFAULT_EPSILONS threshold and passes once the smallest is
+    reached. Raises WitnessFailedError at the first witness the numerics do
+    not confirm; otherwise returns one report per witness.
     """
     if not 0 < tol < 1:
         raise InputError("tol must lie in (0, 1)")
     eps = DEFAULT_EPSILONS[-1]
     reports = []
     for w in fi.expected_witnesses:
-        if w.kind is TransferKind.LPST:
-            report = check_lpst(fi.graph, w.a, w.b, w.time, tol)
-        elif w.kind is TransferKind.PERIODIC:
-            report = check_periodic(fi.graph, w.a, w.time, tol)
-        elif w.kind is TransferKind.PGST:
+        if w.time is None:
             hit = pgst_scan(fi.graph, w.a, w.b, q_max).achieved(eps)
             if hit is None:
                 raise WitnessFailedError(
@@ -219,12 +207,14 @@ def verify_family(
             report = TransferReport(
                 TransferKind.PGST, w.a, w.b, hit.time, hit.fidelity, hit.phase, eps
             )
+        elif w.a == w.b:
+            report = check_periodic(fi.graph, w.a, w.time, tol)
         else:
-            raise WitnessFailedError(f"unexpected witness kind {w.kind}")
+            report = check_lpst(fi.graph, w.a, w.b, w.time, tol)
         if report.kind is TransferKind.NONE:
             raise WitnessFailedError(
-                f"witness {w.kind.value} ({w.a},{w.b}) at t={w.time} failed "
-                f"with fidelity {report.fidelity}"
+                f"witness {'PERIODIC' if w.a == w.b else 'LPST'} ({w.a},{w.b}) "
+                f"at t={w.time} failed with fidelity {report.fidelity}"
             )
         reports.append(report)
     return reports

@@ -56,9 +56,8 @@ def test_small_jacobi_rotations_stay_finite():
 class TestMatchingRemoval:
     def test_single_edge_k8(self):
         fi = k4n_remove_matching(8, [(0, 4)])
-        kinds = [(w.kind, w.a, w.b) for w in fi.expected_witnesses]
-        assert (TransferKind.LPST, 0, 4) in kinds
-        periodic = [w for w in fi.expected_witnesses if w.kind is TransferKind.PERIODIC]
+        assert ExpectedWitness(0, 4, PI / 2) in fi.expected_witnesses
+        periodic = [w for w in fi.expected_witnesses if w.a == w.b]
         assert sorted(w.a for w in periodic) == [1, 2, 3, 5, 6, 7]
         assert all(r.kind is not TransferKind.NONE for r in verify_family(fi))
 
@@ -162,7 +161,7 @@ class TestCirculantTwinEdges:
             CirculantSpec(8, frozenset({1, 3, 5, 7})), [(0, 4)]
         )
         assert fi.expected_witnesses == (
-            ExpectedWitness(TransferKind.LPST, 0, 4, PI / 2),
+            ExpectedWitness(0, 4, PI / 2),
         )
         reports = verify_family(fi)
         assert reports[0].fidelity >= 1.0 - 1e-9
@@ -180,7 +179,7 @@ class TestCirculantTwinEdges:
         fi = circulant_twin_edge_family(
             CirculantSpec(16, frozenset({1, 7, 9, 15})), [(0, 8)]
         )
-        assert fi.expected_witnesses[0].kind is TransferKind.PGST
+        assert fi.expected_witnesses[0].time is None
         reports = verify_family(fi, q_max=100)
         assert reports[0].kind is TransferKind.PGST
         assert reports[0].fidelity >= 1.0 - 1e-3
@@ -243,6 +242,30 @@ def test_pairs_may_be_any_iterable(build, pairs):
     assert len(from_lists.expected_witnesses) >= len(pairs)
 
 
+def implied_kind(w):
+    if w.time is None:
+        return TransferKind.PGST
+    return TransferKind.PERIODIC if w.a == w.b else TransferKind.LPST
+
+
+@pytest.mark.parametrize("fi", [
+    k4n_remove_matching(8, [(0, 4), (1, 5)]),
+    quarter_weight_family(complete_graph(5), [(0, 2), (1, 3)]),
+    circulant_twin_edge_family(CirculantSpec(8, frozenset({1, 3, 5, 7})), [(0, 4)]),
+    circulant_twin_edge_family(CirculantSpec(16, frozenset({1, 7, 9, 15})), [(0, 8)]),
+    # LPST from 0 to 2, not a PERIODIC report at 0
+    FamilyInstance(cycle_graph(4), (ExpectedWitness(0, 2, PI / 2),), "hand-built"),
+], ids=["k4n", "quarter_weight", "circulant_twin_lpst", "circulant_twin_pgst", "c4_0_2"])
+def test_reports_follow_their_witnesses(fi):
+    # a witness's kind is read from its fields: time None is PGST, a == b
+    # PERIODIC, anything else LPST
+    reports = verify_family(fi, q_max=100)
+    assert len(reports) == len(fi.expected_witnesses)
+    for w, r in zip(fi.expected_witnesses, reports):
+        assert (r.source, r.target) == (w.a, w.b)
+        assert r.kind is implied_kind(w)
+
+
 class TestVerifyFamily:
     def test_empty_witness_list(self):
         fi = FamilyInstance(cycle_graph(4), (), "empty")
@@ -251,10 +274,10 @@ class TestVerifyFamily:
     def test_failing_witness_raises(self):
         bogus = FamilyInstance(
             cycle_graph(5),
-            (ExpectedWitness(TransferKind.LPST, 0, 1, PI / 2),),
+            (ExpectedWitness(0, 1, PI / 2),),
             "bogus",
         )
-        with pytest.raises(WitnessFailedError):
+        with pytest.raises(WitnessFailedError, match=r"witness LPST \(0,1\) at t="):
             verify_family(bogus)
 
     def test_tolerance_validation(self):
