@@ -185,15 +185,18 @@ def verify_family(
 ) -> list[TransferReport]:
     """Recompute every expected witness through the walk engine.
 
-    A timed witness passes at fidelity >= 1 - tol, with tol in (0, 1): a
-    PERIODIC one (a == b) through check_periodic, an LPST one through
-    check_lpst. PGST when time is None: the witness scans q <= q_max for
-    every DEFAULT_EPSILONS threshold and passes once the smallest is
-    reached. Raises WitnessFailedError at the first witness the numerics do
-    not confirm; otherwise returns one report per witness.
+    PGST when time is None: the witness scans q <= q_max for every
+    DEFAULT_EPSILONS threshold and passes once the smallest is reached.
+    Otherwise it passes at fidelity >= 1 - tol: PERIODIC (a == b) through
+    check_periodic, LPST through check_lpst. tol must lie in (0, 1) and
+    q_max be at least 1, whatever the witnesses. Raises WitnessFailedError
+    at the first witness the numerics do not confirm; otherwise returns one
+    report per witness.
     """
     if not 0 < tol < 1:
         raise InputError("tol must lie in (0, 1)")
+    if q_max < 1:
+        raise InputError("q_max must be at least 1")
     eps = DEFAULT_EPSILONS[-1]
     reports = []
     for w in fi.expected_witnesses:

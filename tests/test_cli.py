@@ -268,6 +268,16 @@ class TestFamily:
         )
         assert main(["family", "--input", path]) == 2
 
+    @pytest.mark.parametrize("q_max", ["0", "-5"])
+    def test_q_max_below_one_exits_2(self, tmp_path, capsys, q_max):
+        # no witness of this family scans, but the option is still checked
+        path = write(tmp_path, "f.json",
+                     {"family": "k4n_matching", "size": 8, "matching": [[0, 4]]})
+        code = main(["family", "--input", path, "--q-max", q_max])
+        captured = capsys.readouterr()
+        assert assert_input_error(code, captured) == "q_max must be at least 1"
+        assert captured.err.count("\n") == 1
+
     def test_solver_failure_exits_3(self, tmp_path, capsys, monkeypatch):
         from twinwalk.errors import ConvergenceFailureError
 

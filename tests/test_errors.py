@@ -71,6 +71,9 @@ REJECTED = [
     ("modulus", lambda: CirculantSpec(1, frozenset()), "modulus must be at least 2"),
     ("family_tol", lambda: verify_family(FamilyInstance(c4(), (), "empty"), tol=2.0),
      r"tol must lie in \(0, 1\)"),
+    # checked up front, like tol, though no witness here scans
+    ("family_q_max", lambda: verify_family(FamilyInstance(c4(), (), "empty"), q_max=0),
+     "q_max must be at least 1"),
     ("edge_alpha", lambda: perturb_edge(c4(), 0, 1, math.nan),
      "perturbation alpha must be finite"),
     ("trials", lambda: run_identity_checks(None, 0, 0), "trials must be at least 1"),
