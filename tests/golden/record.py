@@ -9,10 +9,11 @@ tests/test_errors.py's EXIT_TABLE, except `convergence`: that row makes the
 eigensolver give up by monkeypatching its sweep limit, which a case (argv
 and input documents) cannot express. Two more `family` cases verify
 families the schema examples do not: K16 minus a 4-edge matching, and
-quarter weights on a nested-graph base. Four `rejected` cases pin inputs
+quarter weights on a nested-graph base. Five `rejected` cases pin inputs
 the library rejects: a pgst scan whose phase table passes pi/eps, an
 integer past int()'s 4300-digit limit in a document and in a "K<n>" base
-name, and a negative seed. Each case stores what the command
+name, a negative seed, and a q_max below 1 for a family with no PGST
+witness. Each case stores what the command
 printed with the code checked out when this script runs, so record on the
 code whose output the corpus should pin, then commit the JSON files.
 """
@@ -60,6 +61,8 @@ REJECTED = [
     ("base-name-digits", ["family", "--input", "doc.json"],
      {"doc.json": {"family": "quarter_weight", "base": "K" + DIGITS}}),
     ("negative-seed", ["verify-identities", "--seed", "-1"], {}),
+    ("family-q-max", ["family", "--input", "doc.json", "--q-max", "0"],
+     {"doc.json": {"family": "k4n_matching", "size": 8, "matching": [[0, 4]]}}),
 ]
 
 FAMILY_INPUTS = [
