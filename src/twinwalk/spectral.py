@@ -134,8 +134,10 @@ def _jacobi(L: np.ndarray, fro: float) -> tuple[np.ndarray, np.ndarray]:
 def eigendecompose(L: np.ndarray) -> Spectrum:
     """Decompose a symmetric matrix into clusters of its eigenbasis.
 
-    Sorted eigenvalues with consecutive gaps within DEFAULT_CLUSTER_TOL *
-    max(1, ||L||_F) form one cluster, whose distinct value is their mean.
+    Each cluster starts at the smallest eigenvalue not yet clustered and
+    holds every eigenvalue at most DEFAULT_CLUSTER_TOL * max(1, ||L||_F)
+    above it, so no chain of close values spans more; its distinct value is
+    the mean.
     Raises ConvergenceFailureError when L, a raw matrix (no graph Laplacian
     does), has a non-finite entry or a squared Frobenius norm that overflows.
     """
@@ -149,7 +151,11 @@ def eigendecompose(L: np.ndarray) -> Spectrum:
     order = np.argsort(raw)
     raw = raw[order]
     gap = DEFAULT_CLUSTER_TOL * max(1.0, fro)
-    starts = np.flatnonzero(np.diff(raw, prepend=-np.inf) > gap)
+    first = []  # a cluster holds the values within gap of its first
+    for i, mu in enumerate(raw):
+        if not first or mu - raw[first[-1]] > gap:
+            first.append(i)
+    starts = np.array(first, dtype=np.intp)
     means = np.add.reduceat(raw, starts) / np.diff(starts, append=raw.size)
     return Spectrum(means, V[:, order], starts)
 

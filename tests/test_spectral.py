@@ -12,6 +12,7 @@ from twinwalk import (
     matrix_exp_oracle,
 )
 from twinwalk.errors import ConvergenceFailureError, IndexOutOfRangeError
+from twinwalk.spectral import DEFAULT_CLUSTER_TOL
 from conftest import assert_spectrum_invariants, cycle_graph, multiplicities, projectors
 from test_graphs import complete
 
@@ -42,6 +43,23 @@ class TestEigendecompose:
         for G in (complete(4), cycle_graph(4), cycle_graph(7), complete(9)):
             L = laplacian(G)
             assert_spectrum_invariants(eigendecompose(L), L)
+
+    def test_planted_chain_splits_at_the_gap(self, rng):
+        # consecutive values 0.6 gap apart: merging by consecutive gaps made
+        # one cluster of each chain, 2.4 gaps wide on the diagonal one
+        diag = np.array([0.0, 6e-9, 1.2e-8, 1.8e-8, 2.4e-8])
+        s = eigendecompose(np.diag(diag))
+        assert np.allclose(s.values, [3e-9, 1.5e-8, 2.4e-8], rtol=0.0, atol=1e-22)
+        # ||H||_F < 1 here too, so the gap is DEFAULT_CLUSTER_TOL itself
+        values = 0.1 + 0.6 * DEFAULT_CLUSTER_TOL * np.arange(8)
+        Q = np.linalg.qr(rng.standard_normal((8, 8)))[0]
+        for planted, H in ((diag, np.diag(diag)), (values, (Q * values) @ Q.T)):
+            gap = DEFAULT_CLUSTER_TOL * max(1.0, np.linalg.norm(H))
+            s = eigendecompose(H)
+            assert len(s.values) > 1
+            ends = [*s.starts[1:], s.n]
+            assert all(planted[hi - 1] - planted[lo] <= gap
+                       for lo, hi in zip(s.starts, ends))
 
     def test_convergence_failure(self):
         L = laplacian(cycle_graph(5))
