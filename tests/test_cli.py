@@ -384,6 +384,27 @@ class TestErrorsAndOutput:
         assert phrase in assert_input_error(code, capsys.readouterr())
 
     @pytest.mark.parametrize(
+        "command, doc, phrase",
+        [
+            ("twins", [1, 2], "graph document must be a JSON object"),
+            ("twins", {"n": 3, "edges": [[0]]}, "edge [0] must have 2 or 3 entries"),
+            ("family", {"family": "quarter_weight", "base": "C5", "pairs": [[0, 2]]},
+             'unrecognized base graph name "C5"'),
+            ("family", {"n": 2}, 'family document needs a "family" key'),
+            ("family", {"family": "k4n_matching", "matching": [[0, 1]]},
+             'k4n_matching needs "n" (quarter count) or "size"'),
+            ("family", {"family": "quarter_weight", "pairs": [[0, 2]]},
+             'quarter_weight needs a "base" graph'),
+            ("family", {"family": "cycle"}, 'unknown family "cycle"'),
+        ],
+        ids=["graph_not_object", "edge_length", "base_name", "family_key",
+             "k4n_size", "quarter_base", "family_name"],
+    )
+    def test_malformed_documents_exit_2(self, tmp_path, capsys, command, doc, phrase):
+        code = main([command, "--input", write(tmp_path, "doc.json", doc)])
+        assert phrase in assert_input_error(code, capsys.readouterr())
+
+    @pytest.mark.parametrize(
         "command, doc",
         [
             ("twins", {"n": 4.7, "edges": [[0, 1]]}),
