@@ -1,10 +1,11 @@
 """Graph families with provable state-transfer witnesses.
 
 Each generator returns a FamilyInstance bundling the perturbed graph with
-the witnesses its construction guarantees. Witnesses are data, not
-assumptions: verify_family recomputes every one of them through the walk
-engine, so a family instance never certifies anything the numerics cannot
-reproduce.
+the witnesses its construction guarantees. A witness is two vertices and a
+time, and its kind follows from them: PGST when time is None, PERIODIC
+when a == b, LPST otherwise. Witnesses are data, not assumptions:
+verify_family recomputes every one of them through the walk engine, so a
+family instance never certifies anything the numerics cannot reproduce.
 """
 
 from __future__ import annotations
@@ -48,9 +49,9 @@ TWO_PI = 2.0 * math.pi
 
 @dataclass(frozen=True)
 class ExpectedWitness:
-    """One guaranteed transfer fact, whose kind its fields imply: PGST from a
-    to b when time is None (the scan over (4q+1) pi/2 finds a time), else
-    PERIODIC at a when a == b, else LPST from a to b at time."""
+    """One guaranteed transfer fact, whose kind its fields imply: PGST when
+    time is None (from a to b; the scan over (4q+1) pi/2 finds a time),
+    else PERIODIC at a when a == b, else LPST from a to b at time."""
 
     a: int
     b: int

@@ -134,10 +134,9 @@ def _jacobi(L: np.ndarray, fro: float) -> tuple[np.ndarray, np.ndarray]:
 def eigendecompose(L: np.ndarray) -> Spectrum:
     """Decompose a symmetric matrix into clusters of its eigenbasis.
 
-    Each cluster starts at the smallest eigenvalue not yet clustered and
-    holds every eigenvalue at most DEFAULT_CLUSTER_TOL * max(1, ||L||_F)
-    above it, so no chain of close values spans more; its distinct value is
-    the mean.
+    A cluster holds the sorted eigenvalues within DEFAULT_CLUSTER_TOL *
+    max(1, ||L||_F) of its first, whatever lies between; its distinct value
+    is their mean.
     Raises ConvergenceFailureError when L, a raw matrix (no graph Laplacian
     does), has a non-finite entry or a squared Frobenius norm that overflows.
     """
@@ -151,7 +150,7 @@ def eigendecompose(L: np.ndarray) -> Spectrum:
     order = np.argsort(raw)
     raw = raw[order]
     gap = DEFAULT_CLUSTER_TOL * max(1.0, fro)
-    first = []  # a cluster holds the values within gap of its first
+    first = []
     for i, mu in enumerate(raw):
         if not first or mu - raw[first[-1]] > gap:
             first.append(i)
