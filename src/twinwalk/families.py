@@ -49,9 +49,9 @@ TWO_PI = 2.0 * math.pi
 
 @dataclass(frozen=True)
 class ExpectedWitness:
-    """One guaranteed transfer fact, whose kind its fields imply: PGST when
-    time is None (from a to b; the scan over (4q+1) pi/2 finds a time),
-    else PERIODIC at a when a == b, else LPST from a to b at time."""
+    """One guaranteed transfer fact, its kind implied by its fields: PGST
+    when time is None (a scan over (4q+1) pi/2 finds the time), else
+    PERIODIC at a when a == b, else LPST from a to b at time."""
 
     a: int
     b: int

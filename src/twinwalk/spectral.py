@@ -134,9 +134,9 @@ def _jacobi(L: np.ndarray, fro: float) -> tuple[np.ndarray, np.ndarray]:
 def eigendecompose(L: np.ndarray) -> Spectrum:
     """Decompose a symmetric matrix into clusters of its eigenbasis.
 
-    A cluster holds the sorted eigenvalues within DEFAULT_CLUSTER_TOL *
-    max(1, ||L||_F) of its first, whatever lies between; its distinct value
-    is their mean.
+    A cluster holds the sorted eigenvalues at most DEFAULT_CLUSTER_TOL *
+    max(1, ||L||_F) above its first, so a chain of close values cannot widen
+    it; its distinct value is their mean.
     Raises ConvergenceFailureError when L, a raw matrix (no graph Laplacian
     does), has a non-finite entry or a squared Frobenius norm that overflows.
     """
