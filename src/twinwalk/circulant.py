@@ -4,6 +4,7 @@ spectra, and the number-theoretic predicates behind the transfer families.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from math import gcd
 
@@ -39,13 +40,10 @@ def gcd_class(n: int, d: int) -> frozenset[int]:
 
 
 def is_gcd_set(n: int, S: set[int] | frozenset[int]) -> bool:
-    """True iff S is a union of complete gcd classes of Z_n."""
+    """True iff the residues S of Z_n are a union of complete gcd classes:
+    every class that S meets lies inside S."""
     S = frozenset(S)
-    divisors = {gcd(s, n) for s in S}
-    union: set[int] = set()
-    for d in divisors:
-        union |= gcd_class(n, d)
-    return union == S
+    return all(gcd_class(n, d) <= S for d in {gcd(s, n) for s in S})
 
 
 def build_circulant(spec: CirculantSpec) -> WeightedGraph:
@@ -75,9 +73,9 @@ def twin_condition(spec: CirculantSpec) -> bool:
 
 
 def mod_four_condition(spec: CirculantSpec) -> bool:
-    """True iff |S intersect S_n(d)| is divisible by 4 for every proper d | n."""
-    return all(len(spec.S & gcd_class(spec.n, d)) % 4 == 0
-               for d in range(1, spec.n) if spec.n % d == 0)
+    """True iff |S intersect S_n(d)| is divisible by 4 for every proper d | n:
+    every count of gcd(s, n) over S is."""
+    return all(c % 4 == 0 for c in Counter(gcd(s, spec.n) for s in spec.S).values())
 
 
 def almost_periodic_applicable(spec: CirculantSpec) -> bool:

@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Subcommands: twins, check, scan, family, verify-identities. Every command
-reads a JSON input file and writes one JSON document to stdout (or --out).
+reads a JSON input file and returns one JSON document and whether its
+witness was found; main writes the document to stdout (or --out).
 Times are printed with 15 significant digits and fidelities with 12 so runs
 can be frozen as regression fixtures. Exit codes: 0 success / witness found,
 1 witness not found, 2 input error, 3 numerical failure.
@@ -12,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 import warnings
 
@@ -61,14 +63,18 @@ def _report_obj(r: TransferReport) -> dict:
 
 def _emit(obj: dict, out: str | None) -> None:
     text = json.dumps(obj, indent=2, sort_keys=True)
-    if out:
-        try:
+    try:
+        if out:
             with open(out, "w") as fh:
                 fh.write(text + "\n")
-        except OSError as exc:
-            raise InputError(f"cannot write {out}: {exc}") from exc
-    else:
-        print(text)
+        else:
+            print(text, flush=True)
+    except OSError as exc:
+        if not out:
+            # the interpreter flushes stdout again at exit; send that to devnull
+            with open(os.devnull, "w") as null:
+                os.dup2(null.fileno(), sys.stdout.fileno())
+        raise InputError(f"cannot write {out or 'stdout'}: {exc}") from exc
 
 
 def _resolve_time(args: argparse.Namespace) -> float:
@@ -79,24 +85,21 @@ def _resolve_time(args: argparse.Namespace) -> float:
     raise InputError("provide --time or --pi-multiple")
 
 
-def _cmd_twins(args: argparse.Namespace) -> int:
-    G = load_graph(args.input)
-    _emit({"twin_pairs": list_twin_pairs(G)}, args.out)
-    return EXIT_OK
+def _cmd_twins(args: argparse.Namespace) -> tuple[dict, bool]:
+    return {"twin_pairs": list_twin_pairs(load_graph(args.input))}, True
 
 
-def _cmd_check(args: argparse.Namespace) -> int:
+def _cmd_check(args: argparse.Namespace) -> tuple[dict, bool]:
     G = load_graph(args.input)
     t = _resolve_time(args)
     if args.from_vertex == args.to_vertex:
         report = check_periodic(G, args.from_vertex, t, args.tol)
     else:
         report = check_lpst(G, args.from_vertex, args.to_vertex, t, args.tol)
-    _emit(_report_obj(report), args.out)
-    return EXIT_OK if report.kind is not TransferKind.NONE else EXIT_NO_WITNESS
+    return _report_obj(report), report.kind is not TransferKind.NONE
 
 
-def _cmd_scan(args: argparse.Namespace) -> int:
+def _cmd_scan(args: argparse.Namespace) -> tuple[dict, bool]:
     given = vars(args)
     unread = [f"--{name.replace('_', '-')}" for name, mode in _SCAN_OPTION_MODE.items()
               if name in given and mode != args.mode]
@@ -107,56 +110,39 @@ def _cmd_scan(args: argparse.Namespace) -> int:
     if args.mode == "pst":
         t_max = given.get("t_max", given.get("t_max_pi", 4.0) * math.pi)
         report = pst_time_scan(G, a, b, t_max, given.get("tol", DEFAULT_LPST_TOL))
-        obj = _report_obj(report)
-        obj["mode"] = "pst"
-        _emit(obj, args.out)
-        return EXIT_OK if report.kind is not TransferKind.NONE else EXIT_NO_WITNESS
+        return {**_report_obj(report), "mode": "pst"}, report.kind is not TransferKind.NONE
     witness = pgst_scan(G, a, b, given.get("q_max", DEFAULT_QMAX))
     found = witness.achieved(DEFAULT_EPSILONS[-1]) is not None
-    obj = {
+    return {
         "mode": "pgst",
         "kind": "PGST" if found else "NONE",
         "from": a,
         "to": b,
         "best_times": [_sig(t, 15) for t in witness.times],
         "best_fidelities": [_sig(f, 12) for f in witness.fidelities],
-        "ladder": [
-            {
-                "epsilon": hit.epsilon,
-                "q": hit.q,
-                "time": _sig(hit.time, 15),
-                "fidelity": _sig(hit.fidelity, 12),
-            }
-            for hit in witness.epsilon_ladder
-        ],
-    }
-    _emit(obj, args.out)
-    return EXIT_OK if found else EXIT_NO_WITNESS
+        "ladder": [{"epsilon": hit.epsilon, "q": hit.q, "time": _sig(hit.time, 15),
+                    "fidelity": _sig(hit.fidelity, 12)} for hit in witness.epsilon_ladder],
+    }, found
 
 
-def _cmd_family(args: argparse.Namespace) -> int:
+def _cmd_family(args: argparse.Namespace) -> tuple[dict, bool]:
     fi = load_family(args.input)
     doc = {"provenance": fi.provenance, "all_passed": True}
     try:
         doc["reports"] = [_report_obj(r) for r in verify_family(fi, args.tol, args.q_max)]
     except WitnessFailedError as exc:
         doc.update(all_passed=False, error=str(exc))
-    _emit(doc, args.out)
-    return EXIT_OK if doc["all_passed"] else EXIT_NO_WITNESS
+    return doc, doc["all_passed"]
 
 
-def _cmd_verify_identities(args: argparse.Namespace) -> int:
+def _cmd_verify_identities(args: argparse.Namespace) -> tuple[dict, bool]:
     G = load_graph(args.input) if args.input else None
     devs = run_identity_checks(G, args.seed, args.trials)
-    _emit(
-        {
-            "seed": args.seed,
-            "trials": args.trials,
-            "identities": {k: _sig(v, 6) for k, v in devs.items()},
-        },
-        args.out,
-    )
-    return EXIT_OK
+    return {
+        "seed": args.seed,
+        "trials": args.trials,
+        "identities": {k: _sig(v, 6) for k, v in devs.items()},
+    }, True
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -229,7 +215,9 @@ def main(argv: list[str] | None = None) -> int:
             for name, value in vars(args).items():
                 if isinstance(value, float) and not math.isfinite(value):
                     raise InputError(f"--{name.replace('_', '-')} must be a finite number")
-            return args.func(args)
+            doc, found = args.func(args)
+            _emit(doc, args.out)
+            return EXIT_OK if found else EXIT_NO_WITNESS
         except ConvergenceFailureError as exc:
             print(json.dumps({"error": str(exc)}), file=sys.stderr)
             return EXIT_NUMERIC

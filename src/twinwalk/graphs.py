@@ -15,13 +15,22 @@ import numpy as np
 from .errors import IndexOutOfRangeError, InputError
 
 
+def _check_int(value, what: str) -> None:
+    """InputError unless value is a Python or numpy integer (a bool is not)."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise InputError(f"{what} must be an integer, got {value!r}")
+
+
 def _check_vertex(n: int, v: int) -> None:
+    _check_int(v, "vertex")
     if not 0 <= v < n:
         raise IndexOutOfRangeError(f"vertex {v} out of range [0, {n})")
 
 
 def _zero_weights(n: int) -> np.ndarray:
-    """n x n zeros; InputError unless n >= 1 and numpy can allocate them."""
+    """n x n zeros; InputError unless n is an integer >= 1 and numpy can
+    allocate them."""
+    _check_int(n, "vertex count")
     if n < 1:
         raise InputError(f"vertex count must be positive, got {n}")
     try:

@@ -135,8 +135,8 @@ def eigendecompose(L: np.ndarray) -> Spectrum:
     """Decompose a symmetric matrix into clusters of its eigenbasis.
 
     A cluster holds the sorted eigenvalues at most DEFAULT_CLUSTER_TOL *
-    max(1, ||L||_F) above its first, so a chain of close values cannot widen
-    it; its distinct value is their mean.
+    ||L||_F above its first, so a chain of close values cannot widen it and
+    scaling L scales the gap with it; its distinct value is their mean.
     Raises ConvergenceFailureError when L, a raw matrix (no graph Laplacian
     does), has a non-finite entry or a squared Frobenius norm that overflows.
     """
@@ -149,7 +149,7 @@ def eigendecompose(L: np.ndarray) -> Spectrum:
     raw, V = _jacobi(L, fro)
     order = np.argsort(raw)
     raw = raw[order]
-    gap = DEFAULT_CLUSTER_TOL * max(1.0, fro)
+    gap = DEFAULT_CLUSTER_TOL * fro
     first = []
     for i, mu in enumerate(raw):
         if not first or mu - raw[first[-1]] > gap:

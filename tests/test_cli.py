@@ -554,6 +554,20 @@ class TestErrorsAndOutput:
         assert proc.returncode == 0
         assert json.loads(proc.stdout) == {"twin_pairs": [[0, 2], [1, 3]]}
 
+    def test_closed_stdout_is_an_output_error(self, tmp_path):
+        # `twinwalk twins ... | head -c 10` used to end in a BrokenPipeError
+        # traceback and exit 1, the code for "witness not found"
+        gpath = write(tmp_path, "g.json", C4)
+        with subprocess.Popen(
+            [sys.executable, "-m", "twinwalk.cli", "twins", "--input", gpath],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        ) as proc:
+            proc.stdout.close()  # the reader is gone before the first write
+            err = proc.stderr.read()
+        assert proc.returncode == 2
+        line, = err.splitlines()  # nothing more at interpreter exit
+        assert json.loads(line)["error"].startswith("cannot write stdout: ")
+
 
 JSON_JUNK = [-1.5, 1.0, True, "1", None]
 

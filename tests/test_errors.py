@@ -30,7 +30,7 @@ from twinwalk import (
     verify_family,
 )
 from twinwalk import errors, spectral
-from twinwalk.cli import build_parser, main
+from twinwalk.cli import _emit, build_parser, main
 from twinwalk.errors import (
     ConvergenceFailureError,
     IndexOutOfRangeError,
@@ -111,6 +111,16 @@ REJECTED = [
     ("complete_graph", lambda: complete_graph(-4),
      "vertex count must be positive, got -4"),
     ("build_graph", lambda: build_graph(0, []), "vertex count must be positive, got 0"),
+    # vertices and vertex counts must be integers: each of these raised a
+    # builtin IndexError or TypeError out of numpy
+    ("lpst_float_vertex", lambda: check_lpst(c4(), 0, 1.5, 1.0),
+     "vertex must be an integer, got 1.5"),
+    ("edge_bool_vertices", lambda: perturb_edge(c4(), False, True, 1.0),
+     "vertex must be an integer, got False"),
+    ("complete_graph_float", lambda: complete_graph(4.0),
+     "vertex count must be an integer, got 4.0"),
+    ("build_graph_float", lambda: build_graph(4.5, []),
+     "vertex count must be an integer, got 4.5"),
     ("build_graph_too_large", lambda: build_graph(10**9, []),
      "vertex count 1000000000 is too large"),
     # integers past int()'s 4300-digit limit, nesting past the recursion
@@ -173,6 +183,20 @@ def test_cli_main_catches_only_twinwalk_errors():
         assert isinstance(cls, type) and cls.__module__ == errors.__name__, name
 
 
+def test_only_main_writes_output_and_picks_exit_codes():
+    """Each command returns (document, found) and does no I/O; cli.main
+    alone writes the document and maps found to exit 0 or 1."""
+    tree = ast.parse((SRC / "cli.py").read_text())
+    commands = [node for node in tree.body if isinstance(node, ast.FunctionDef)
+                and node.name.startswith("_cmd_")]
+    assert len(commands) == 5
+    for node in commands:
+        assert isinstance(node.body[-1], ast.Return), node.name
+        names = {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+        assert not names & {"_emit", "print", "open", "sys", "EXIT_OK",
+                            "EXIT_NO_WITNESS"}, node.name
+
+
 Z16_PGST = {"family": "circulant_twin", "n": 16, "S": [1, 7, 9, 15], "pairs": [[0, 8]]}
 CHECK_02 = ["check", "--from", "0", "--to", "2", "--time", "1"]
 
@@ -207,4 +231,7 @@ def test_cli_exit_code_per_error_class(tmp_path, capsys, monkeypatch,
     assert phrase in json.loads(captured.err)["error"]
     args = build_parser().parse_args(argv)
     with pytest.raises(error):
-        args.func(args)
+        # main's two steps: the command builds the document (every row but
+        # `output` raises here), then _emit writes it (`output` raises here)
+        doc, _ = args.func(args)
+        _emit(doc, args.out)

@@ -6,6 +6,9 @@ import pytest
 
 import twinwalk
 from twinwalk import (
+    TransferKind,
+    build_graph,
+    check_lpst,
     eigendecompose,
     is_integral_spectrum,
     laplacian,
@@ -46,20 +49,33 @@ class TestEigendecompose:
 
     def test_planted_chain_splits_at_the_gap(self, rng):
         # consecutive values 0.6 gap apart: merging by consecutive gaps made
-        # one cluster of each chain, 2.4 gaps wide on the diagonal one
-        diag = np.array([0.0, 6e-9, 1.2e-8, 1.8e-8, 2.4e-8])
+        # one cluster of each chain, 2.4 gaps wide on the diagonal one. Its
+        # last value puts ||H||_F at 1, so its gap is DEFAULT_CLUSTER_TOL
+        diag = np.array([0.0, 6e-9, 1.2e-8, 1.8e-8, 2.4e-8, 1.0])
         s = eigendecompose(np.diag(diag))
-        assert np.allclose(s.values, [3e-9, 1.5e-8, 2.4e-8], rtol=0.0, atol=1e-22)
-        # ||H||_F < 1 here too, so the gap is DEFAULT_CLUSTER_TOL itself
-        values = 0.1 + 0.6 * DEFAULT_CLUSTER_TOL * np.arange(8)
+        assert np.allclose(s.values, [3e-9, 1.5e-8, 2.4e-8, 1.0], rtol=0.0, atol=1e-22)
+        # the steps move ||H||_F by under 1e-7 of itself from ||0.1 * ones||
+        step = 0.6 * DEFAULT_CLUSTER_TOL * np.linalg.norm(np.full(8, 0.1))
+        values = 0.1 + step * np.arange(8)
         Q = np.linalg.qr(rng.standard_normal((8, 8)))[0]
         for planted, H in ((diag, np.diag(diag)), (values, (Q * values) @ Q.T)):
-            gap = DEFAULT_CLUSTER_TOL * max(1.0, np.linalg.norm(H))
+            gap = DEFAULT_CLUSTER_TOL * np.linalg.norm(H)
             s = eigendecompose(H)
             assert len(s.values) > 1
             ends = [*s.starts[1:], s.n]
             assert all(planted[hi - 1] - planted[lo] <= gap
                        for lo, hi in zip(s.starts, ends))
+
+    @pytest.mark.parametrize("weight", [1e-9, 1.0, 1e6])
+    def test_k2_splits_at_every_weight(self, weight):
+        # the gap was DEFAULT_CLUSTER_TOL * max(1, ||L||_F): at weight 1e-9 it
+        # merged the eigenvalues 0 and 2e-9, and 0 -> 1 at pi/(2 * weight)
+        # reported NONE at fidelity 0 where weight 1 gives LPST at pi/2
+        G = build_graph(2, [(0, 1, weight)])
+        s = eigendecompose(laplacian(G))
+        assert np.allclose(s.values, [0.0, 2 * weight], rtol=1e-12, atol=1e-12 * weight)
+        report = check_lpst(G, 0, 1, np.pi / (2 * weight))
+        assert report.kind is TransferKind.LPST and report.fidelity > 1 - 1e-12
 
     def test_convergence_failure(self):
         L = laplacian(cycle_graph(5))
