@@ -11,6 +11,7 @@ can be frozen as regression fixtures. Exit codes: 0 success / witness found,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
@@ -63,6 +64,8 @@ def _report_obj(r: TransferReport) -> dict:
 
 def _emit(obj: dict, out: str | None) -> None:
     text = json.dumps(obj, indent=2, sort_keys=True)
+    if not out and sys.stdout is None:  # fd 1 was closed at start-up
+        raise InputError("cannot write stdout: it is closed")
     try:
         if out:
             with open(out, "w") as fh:
@@ -203,14 +206,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _warn_as_json(message, category, filename, lineno, file=None, line=None) -> None:
-    print(json.dumps({"warning": str(message)}), file=sys.stderr)
+def _stderr_line(obj: dict) -> None:
+    """One JSON line on stderr; a closed stderr loses it, not the exit code."""
+    if sys.stderr is not None:  # None when fd 2 was closed at start-up
+        with contextlib.suppress(OSError):
+            print(json.dumps(obj), file=sys.stderr)
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     with warnings.catch_warnings():
-        warnings.showwarning = _warn_as_json
+        warnings.showwarning = lambda message, *_: _stderr_line({"warning": str(message)})
         try:
             for name, value in vars(args).items():
                 if isinstance(value, float) and not math.isfinite(value):
@@ -218,12 +224,9 @@ def main(argv: list[str] | None = None) -> int:
             doc, found = args.func(args)
             _emit(doc, args.out)
             return EXIT_OK if found else EXIT_NO_WITNESS
-        except ConvergenceFailureError as exc:
-            print(json.dumps({"error": str(exc)}), file=sys.stderr)
-            return EXIT_NUMERIC
         except TwinWalkError as exc:
-            print(json.dumps({"error": str(exc)}), file=sys.stderr)
-            return EXIT_INPUT
+            _stderr_line({"error": str(exc)})
+            return EXIT_NUMERIC if isinstance(exc, ConvergenceFailureError) else EXIT_INPUT
 
 
 if __name__ == "__main__":

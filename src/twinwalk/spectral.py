@@ -13,6 +13,7 @@ coefficients of (a, b), which also check that both vertices are in range.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,7 +26,6 @@ DEFAULT_INT_TOL = 1e-6
 
 _JACOBI_OFFDIAG_FACTOR = 1e-13
 _JACOBI_MAX_SWEEPS = 100
-_JACOBI_TAU_LIMIT = 1e150
 
 _PHASE_LIMIT = np.pi / np.finfo(float).eps  # one rounding of a larger mu t can exceed pi
 
@@ -99,16 +99,12 @@ def _jacobi(L: np.ndarray, fro: float) -> tuple[np.ndarray, np.ndarray]:
                 apq = A[p, q]
                 if apq == 0.0:
                     continue
-                # Stable rotation angle (Golub & Van Loan).
-                tau = (A[q, q] - A[p, p]) / (2.0 * apq)
-                if abs(tau) > _JACOBI_TAU_LIMIT:
-                    t = 0.5 / tau  # the limit of both forms below; tau^2 overflows
-                elif tau >= 0.0:
-                    t = 1.0 / (tau + np.sqrt(1.0 + tau * tau))
-                else:
-                    t = -1.0 / (-tau + np.sqrt(1.0 + tau * tau))
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                s = t * c
+                # atan2, not the inner rotation (|theta| <= pi/4), sorts the pair:
+                # a_qq - a_pp becomes hypot(a_qq - a_pp, 2 a_pq) >= 0, so repeated
+                # eigenvalues gather early; and no ratio of entries overflows it.
+                theta = 0.5 * math.atan2(2.0 * apq, A[q, q] - A[p, p])
+                c = math.cos(theta)
+                s = math.sin(theta)
                 rp = A[p, :].copy()
                 rq = A[q, :].copy()
                 A[p, :] = c * rp - s * rq

@@ -46,6 +46,14 @@ def write(tmp_path, name, obj):
     return str(path)
 
 
+def run_sh(redirect, *argv):
+    """The CLI as a subprocess of sh, which applies one fd redirection."""
+    return subprocess.run(
+        ["sh", "-c", f'"$0" -m twinwalk.cli "$@" {redirect}', sys.executable, *argv],
+        capture_output=True, text=True,
+    )
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr().out
@@ -567,6 +575,28 @@ class TestErrorsAndOutput:
         assert proc.returncode == 2
         line, = err.splitlines()  # nothing more at interpreter exit
         assert json.loads(line)["error"].startswith("cannot write stdout: ")
+
+    def test_stdout_closed_at_start_up_is_an_output_error(self, tmp_path):
+        # with fd 1 closed, sys.stdout is None and print writes nothing:
+        # `twinwalk twins ... >&-` lost the document and exited 0
+        proc = run_sh(">&-", "twins", "--input", write(tmp_path, "g.json", C4))
+        assert proc.returncode == 2
+        assert json.loads(proc.stderr) == {"error": "cannot write stdout: it is closed"}
+
+    @pytest.mark.parametrize("redirect", ["2>&-", "2</dev/null"], ids=["closed", "read_only"])
+    def test_input_error_exits_2_without_stderr(self, tmp_path, redirect):
+        # closed, sys.stderr is None and print(file=None) put the error line
+        # on stdout; read-only, writing it raised OSError in main's handler,
+        # which ended in exit 1, the code for "witness not found"
+        proc = run_sh(redirect, "twins", "--input", str(tmp_path / "missing.json"))
+        assert (proc.returncode, proc.stdout) == (2, "")
+
+    def test_warning_without_stderr_stays_off_stdout(self, tmp_path, capsys, monkeypatch):
+        path = write(tmp_path, "f.json",
+                     {"family": "k4n_matching", "size": 6, "matching": [[0, 1]]})
+        monkeypatch.setattr(sys, "stderr", None)  # as with fd 2 closed at start-up
+        assert main(["family", "--input", path]) == 0
+        assert json.loads(capsys.readouterr().out)["reports"] == []
 
 
 JSON_JUNK = [-1.5, 1.0, True, "1", None]

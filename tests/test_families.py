@@ -41,8 +41,8 @@ class TestCompleteGraph:
 
 def test_small_jacobi_rotations_stay_finite():
     """A family-dense document whose solve meets an off-diagonal entry far
-    below its diagonal gap: tau * tau in the rotation angle overflowed and
-    raised RuntimeWarnings (errors under this suite's settings)."""
+    below its diagonal gap: every rotation angle stays finite and raises no
+    RuntimeWarning (an error under this suite's settings)."""
     fi = family_from_obj({
         "family": "circulant_twin", "n": 32,
         "S": [2, 4, 6, 10, 12, 14, 18, 20, 22, 26, 28, 30],

@@ -3,6 +3,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import twinwalk
 from twinwalk import (
@@ -11,6 +12,7 @@ from twinwalk import (
     check_lpst,
     eigendecompose,
     is_integral_spectrum,
+    k4n_remove_matching,
     laplacian,
     matrix_exp_oracle,
 )
@@ -128,6 +130,55 @@ class TestEigendecompose:
                 for mu, E in zip(s.values, Es):
                     spectral += np.exp(-1j * mu * t) * E
                 assert np.abs(spectral - matrix_exp_oracle(H, t)).max() < 1e-8
+
+
+@st.composite
+def laplacians(draw):
+    """A graph Laplacian on n <= 20 vertices with integer weights, or with
+    float weights that mix unit-scale and tiny (1e-12 to 1e-6) edges, so its
+    diagonal comes in no order and tiny couplings meet wide diagonal gaps;
+    up to three vertices copy another's weights, which plants twins."""
+    n = draw(st.integers(1, 20))
+    if draw(st.booleans()):
+        weight = st.integers(0, 4).map(float)
+    else:
+        weight = st.one_of(st.just(0.0), st.floats(0.1, 10.0), st.floats(1e-12, 1e-6))
+    rows, cols = np.triu_indices(n, 1)
+    W = np.zeros((n, n))
+    W[rows, cols] = draw(st.lists(weight, min_size=rows.size, max_size=rows.size))
+    W += W.T
+    vertex = st.integers(0, n - 1)
+    for a, b in draw(st.lists(st.tuples(vertex, vertex), max_size=3)):
+        others = [q for q in range(n) if q not in (a, b)]
+        W[b, others] = W[others, b] = W[a, others]
+    return np.diag(W.sum(axis=1)) - W
+
+
+class TestJacobi:
+    def test_matching_removal_needs_few_sweeps(self, monkeypatch):
+        # K24 minus the matching {2i, 2i + 1} has eigenvalues 0, 22 and 24.
+        # Inner rotations (|theta| <= pi/4) took 11 sweeps on it, rotations
+        # that sort each pair take 4; a sweep is one _offdiag_norm call after
+        # the one before the first
+        calls = []
+        norm = twinwalk.spectral._offdiag_norm
+        monkeypatch.setattr(twinwalk.spectral, "_offdiag_norm",
+                            lambda A: calls.append(None) or norm(A))
+        fi = k4n_remove_matching(24, [(2 * i, 2 * i + 1) for i in range(12)])
+        s = eigendecompose(laplacian(fi.graph))
+        assert np.allclose(s.values, [0.0, 22.0, 24.0], rtol=0.0, atol=1e-12)
+        assert len(calls) - 1 <= 6
+
+    @settings(max_examples=40, deadline=None)
+    @given(laplacians())
+    def test_residual_and_orthogonality(self, L):
+        # rotations by up to pi/2 swap unsorted pairs; every draw must still
+        # converge, to a basis as accurate as the stopping threshold allows
+        fro = float(np.linalg.norm(L))
+        values, V = twinwalk.spectral._jacobi(L, fro)
+        bound = 1e-12 * max(1.0, fro)
+        assert np.linalg.norm(L @ V - V * values) <= bound
+        assert np.linalg.norm(V.T @ V - np.eye(L.shape[0])) <= bound
 
 
 def test_only_spectral_reads_the_basis():
