@@ -11,20 +11,21 @@ from math import gcd
 import numpy as np
 
 from .errors import InputError
-from .graphs import WeightedGraph, _zero_weights
+from .graphs import WeightedGraph, _check_int, _zero_weights
 
 
 @dataclass(frozen=True)
 class CirculantSpec:
-    """Modulus n with a symmetric, 0-free connection set S of residues."""
+    """Integer modulus n >= 2 with a symmetric, 0-free connection set S of
+    integer residues, given as any iterable and kept as a frozenset mod n."""
 
     n: int
     S: frozenset[int]
 
     def __post_init__(self) -> None:
-        if self.n < 2:
+        if _check_int(self.n, "modulus") < 2:
             raise InputError(f"modulus must be at least 2, got {self.n}")
-        reduced = frozenset(s % self.n for s in self.S)
+        reduced = frozenset(_check_int(s, "residue") % self.n for s in self.S)
         object.__setattr__(self, "S", reduced)
         if 0 in reduced:
             raise InputError("connection set contains 0")
@@ -34,7 +35,8 @@ class CirculantSpec:
 
 def gcd_class(n: int, d: int) -> frozenset[int]:
     """S_n(d): the residues x in Z_n with gcd(x, n) = d, a proper divisor."""
-    if d < 1 or d >= n or n % d != 0:
+    _check_int(n, "modulus")
+    if not 1 <= _check_int(d, "divisor") < n or n % d:
         raise InputError(f"{d} is not a proper divisor of {n}")
     return frozenset(x for x in range(n) if gcd(x, n) == d)
 
@@ -42,7 +44,8 @@ def gcd_class(n: int, d: int) -> frozenset[int]:
 def is_gcd_set(n: int, S: set[int] | frozenset[int]) -> bool:
     """True iff the residues S of Z_n are a union of complete gcd classes:
     every class that S meets lies inside S."""
-    S = frozenset(S)
+    _check_int(n, "modulus")
+    S = frozenset(_check_int(s, "residue") for s in S)
     return all(gcd_class(n, d) <= S for d in {gcd(s, n) for s in S})
 
 

@@ -26,6 +26,7 @@ from .circulant import (
 from .errors import InputError, WitnessFailedError
 from .graphs import (
     WeightedGraph,
+    _check_int,
     _zero_weights,
     is_twin_pair,
     laplacian,
@@ -73,11 +74,14 @@ def complete_graph(n: int) -> WeightedGraph:
 
 def _check_disjoint(pairs) -> list[tuple[int, int]]:
     """The pairs, which may be any iterable, as a list of tuples; InputError
-    unless they are vertex-disjoint."""
-    pairs = [tuple(p) for p in pairs]
+    unless each is two integer vertices and no two share a vertex."""
+    try:
+        pairs = [(a, b) for a, b in pairs]
+    except (TypeError, ValueError) as exc:  # not iterable, or not two entries
+        raise InputError(f"pairs must be (a, b) vertex pairs: {exc}") from exc
     seen: set[int] = set()
     for a, b in pairs:
-        if a in seen or b in seen or a == b:
+        if {_check_int(a, "vertex"), _check_int(b, "vertex")} & seen or a == b:
             raise InputError(f"pair ({a},{b}) reuses a vertex")
         seen.update((a, b))
     return pairs
@@ -196,7 +200,7 @@ def verify_family(
     """
     if not 0 < tol < 1:
         raise InputError("tol must lie in (0, 1)")
-    if q_max < 1:
+    if _check_int(q_max, "q_max") < 1:
         raise InputError("q_max must be at least 1")
     eps = DEFAULT_EPSILONS[-1]
     reports = []

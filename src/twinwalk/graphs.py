@@ -15,10 +15,11 @@ import numpy as np
 from .errors import IndexOutOfRangeError, InputError
 
 
-def _check_int(value, what: str) -> None:
-    """InputError unless value is a Python or numpy integer (a bool is not)."""
+def _check_int(value, what: str):
+    """value if it is a Python or numpy integer (not a bool); else InputError."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise InputError(f"{what} must be an integer, got {value!r}")
+    return value
 
 
 def _check_vertex(n: int, v: int) -> None:
@@ -30,8 +31,7 @@ def _check_vertex(n: int, v: int) -> None:
 def _zero_weights(n: int) -> np.ndarray:
     """n x n zeros; InputError unless n is an integer >= 1 and numpy can
     allocate them."""
-    _check_int(n, "vertex count")
-    if n < 1:
+    if _check_int(n, "vertex count") < 1:
         raise InputError(f"vertex count must be positive, got {n}")
     try:
         return np.zeros((n, n))
@@ -81,7 +81,7 @@ class WeightedGraph:
 
 
 def build_graph(n: int, edge_list: list[tuple[int, int, float]]) -> WeightedGraph:
-    """Build a graph from (u, v, w) triples with finite positive weights.
+    """Build a graph from (u, v, w) triples, each w a finite positive number.
 
     Raises IndexOutOfRangeError for a vertex outside [0, n) and InputError
     for any other invalid input.
@@ -92,13 +92,16 @@ def build_graph(n: int, edge_list: list[tuple[int, int, float]]) -> WeightedGrap
         _check_vertex(n, v)
         if u == v:
             raise InputError(f"self loop at vertex {u}")
-        if not 0 < w < np.inf:
-            raise InputError(
-                f"edge ({u},{v}) has weight {w}; weights must be finite and positive"
-            )
+        try:
+            weight = np.nan if isinstance(w, (bool, str)) else float(w)
+        except (TypeError, ValueError, OverflowError):  # float(10**400) overflows
+            weight = np.nan
+        if not 0 < weight < np.inf:
+            raise InputError(f"edge ({u},{v}) has weight {w!r}; weights must be "
+                             "finite and positive numbers")
         if A[u, v]:
             raise InputError(f"edge {(min(u, v), max(u, v))} listed twice")
-        A[u, v] = A[v, u] = w
+        A[u, v] = A[v, u] = weight
     return WeightedGraph(A)
 
 
@@ -139,11 +142,11 @@ def rank_one_matrix(n: int, a: int, b: int) -> np.ndarray:
     Adding alpha times this matrix to a Laplacian increases the (a, b)
     edge weight by alpha. Its square equals twice itself.
     """
+    M = _zero_weights(n)
     _check_vertex(n, a)
     _check_vertex(n, b)
     if a == b:
         raise InputError("rank-one matrix needs two distinct vertices")
-    M = np.zeros((n, n))
     M[a, a] = M[b, b] = 1.0
     M[a, b] = M[b, a] = -1.0
     return M

@@ -13,6 +13,7 @@ import numpy as np
 from .errors import InputError
 from .graphs import (
     WeightedGraph,
+    _check_int,
     laplacian,
     list_twin_pairs,
     perturb_edge,
@@ -65,10 +66,10 @@ def run_identity_checks(
     otherwise every trial draws a fresh random graph with a planted twin
     pair.
     """
-    if trials < 1:
+    if _check_int(trials, "trials") < 1:
         raise InputError("trials must be at least 1")
     try:
-        rng = np.random.default_rng(seed)
+        rng = np.random.default_rng(_check_int(seed, "seed"))
     except ValueError as exc:  # a negative seed
         raise InputError(f"seed {seed}: {exc}") from exc
     devs = dict.fromkeys(

@@ -4,10 +4,10 @@ Graph files:      {"n": int, "edges": [[u, v, w?], ...]}   (w defaults to 1.0)
 Circulant files:  {"circulant": {"n": int, "S": [int, ...]}}
 Family files:     {"family": "k4n_matching" | "quarter_weight" | "circulant_twin", ...}
 
-A circulant object is accepted anywhere a graph is expected. Vertex counts,
-vertices, sizes and residues must be JSON integers and weights JSON numbers;
-booleans and strings are neither, and a key the schema does not define is
-not allowed. Malformed input raises InputError.
+A circulant object is accepted anywhere a graph is expected. The reader checks
+only shape: objects, their keys (none the schema does not define), edge arity,
+the default weight and the "K<n>" name. Every value goes to the library
+unchanged, and the library's rules judge it. Malformed input raises InputError.
 """
 
 from __future__ import annotations
@@ -26,21 +26,7 @@ from .families import (
     k4n_remove_matching,
     quarter_weight_family,
 )
-from .graphs import WeightedGraph, build_graph
-
-
-def _as_int(value: Any, field: str) -> int:
-    """A JSON integer; booleans, floats and strings are rejected."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise InputError(f"{field} must be an integer, got {value!r}")
-    return value
-
-
-def _as_pairs(raw: Any, field: str) -> list[tuple[int, int]]:
-    try:
-        return [(_as_int(a, field), _as_int(b, field)) for a, b in raw]
-    except (TypeError, ValueError) as exc:
-        raise InputError(f"{field} must be a list of [a, b] integer pairs") from exc
+from .graphs import WeightedGraph, _check_int, build_graph
 
 
 def _only_keys(obj: dict, allowed: set[str], what: str) -> None:
@@ -52,9 +38,8 @@ def _only_keys(obj: dict, allowed: set[str], what: str) -> None:
 
 def _circulant_spec(obj: Any, what: str) -> CirculantSpec:
     try:
-        return CirculantSpec(_as_int(obj["n"], "n"),
-                             frozenset(_as_int(s, "S entry") for s in obj["S"]))
-    except (KeyError, TypeError, ValueError) as exc:
+        return CirculantSpec(obj["n"], obj["S"])
+    except (KeyError, TypeError) as exc:  # not an object, a key missing, S not a list
         raise InputError(f"bad {what}: {exc}") from exc
 
 
@@ -67,17 +52,13 @@ def graph_from_obj(obj: Any) -> WeightedGraph:
         _only_keys(obj["circulant"], {"n", "S"}, "circulant object")
         return build_circulant(spec)
     try:
-        n = _as_int(obj["n"], "n")
+        n = obj["n"]
         edges = []
         for e in obj.get("edges", []):
             if len(e) not in (2, 3):
                 raise InputError(f"edge {e} must have 2 or 3 entries")
-            w = e[2] if len(e) == 3 else 1.0
-            if isinstance(w, (bool, str)):
-                raise InputError(f"edge weight must be a number, got {w!r}")
-            edges.append((_as_int(e[0], "edge vertex"), _as_int(e[1], "edge vertex"),
-                          float(w)))
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            edges.append((e[0], e[1], e[2] if len(e) == 3 else 1.0))
+    except (KeyError, TypeError) as exc:  # "n" missing, or edges not lists
         raise InputError(f"bad graph object: {exc}") from exc
     _only_keys(obj, {"n", "edges"}, "graph document")
     return build_graph(n, edges)
@@ -106,26 +87,23 @@ def family_from_obj(obj: Any) -> FamilyInstance:
         if "size" in obj and "n" in obj:
             raise InputError('k4n_matching takes "n" or "size", not both')
         if "size" in obj:
-            size = _as_int(obj["size"], "size")
+            size = obj["size"]
         elif "n" in obj:
-            size = 4 * _as_int(obj["n"], "n")
+            size = 4 * _check_int(obj["n"], "n")  # before 4 * "2" or 4 * True
         else:
             raise InputError('k4n_matching needs "n" (quarter count) or "size"')
-        matching = _as_pairs(obj.get("matching", []), "matching")
         _only_keys(obj, {"family", "n", "size", "matching"}, f"{kind} document")
-        return k4n_remove_matching(size, matching)
+        return k4n_remove_matching(size, obj.get("matching", []))
     if kind == "quarter_weight":
         if "base" not in obj:
             raise InputError('quarter_weight needs a "base" graph')
         base = _base_graph_from(obj["base"])
-        pairs = _as_pairs(obj.get("pairs", []), "pairs")
         _only_keys(obj, {"family", "base", "pairs"}, f"{kind} document")
-        return quarter_weight_family(base, pairs)
+        return quarter_weight_family(base, obj.get("pairs", []))
     if kind == "circulant_twin":
         spec = _circulant_spec(obj, "circulant_twin parameters")
-        pairs = _as_pairs(obj.get("pairs", []), "pairs")
         _only_keys(obj, {"family", "n", "S", "pairs"}, f"{kind} document")
-        return circulant_twin_edge_family(spec, pairs)
+        return circulant_twin_edge_family(spec, obj.get("pairs", []))
     raise InputError(f'unknown family "{kind}"')
 
 

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError
-from .graphs import WeightedGraph, laplacian
+from .graphs import WeightedGraph, _check_int, laplacian
 from .spectral import Spectrum, _phases, eigendecompose
 
 DEFAULT_LPST_TOL = 1e-9
@@ -237,7 +237,7 @@ def pgst_scan(
     40 B for the step's times, amplitudes and magnitudes plus 1024 k x 16 B
     for the table, whatever q_max is.
     """
-    if q_max < 1:
+    if _check_int(q_max, "q_max") < 1:
         raise InputError("q_max must be at least 1")
     eps = list(epsilons)
     if any(not 0.0 < e < 1.0 for e in eps) or any(
