@@ -42,9 +42,9 @@ def _zero_weights(n: int) -> np.ndarray:
 @dataclass(frozen=True, eq=False)
 class WeightedGraph:
     """Undirected weighted graph on vertices 0..n-1, held as its weight
-    matrix: a read-only copy of the array it is given, which must be square,
-    non-empty, finite and symmetric with a zero diagonal, and keep the
-    Laplacian's squared Frobenius norm finite (InputError otherwise).
+    matrix: a read-only float copy of the array it is given, which must be
+    square, non-empty, finite, real and symmetric with a zero diagonal, and
+    keep the Laplacian's squared Frobenius norm finite (InputError otherwise).
     `matrix[u, v]` is the weight of edge (u, v), 0 when the edge is absent.
     Graphs are equal when their matrices are, and are not hashable.
     """
@@ -52,13 +52,15 @@ class WeightedGraph:
     matrix: np.ndarray
 
     def __post_init__(self) -> None:
-        A = np.array(self.matrix, dtype=float)
-        if (A.ndim != 2 or A.shape[0] != A.shape[1] or A.size == 0
+        A = np.array(self.matrix)
+        if (A.dtype.kind not in "iuf"  # bool, complex, str and object are not real
+                or A.ndim != 2 or A.shape[0] != A.shape[1] or A.size == 0
                 or not np.isfinite(A).all() or not np.array_equal(A, A.T)
                 or np.diagonal(A).any()):
             raise InputError(
                 f"weight matrix of shape {A.shape} is not square, non-empty, "
-                "finite and symmetric with a zero diagonal")
+                "finite, real and symmetric with a zero diagonal")
+        A = A.astype(float, copy=False)
         A.flags.writeable = False
         object.__setattr__(self, "matrix", A)
         with np.errstate(over="ignore"):

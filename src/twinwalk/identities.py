@@ -68,8 +68,9 @@ def run_identity_checks(
     """
     if _check_int(trials, "trials") < 1:
         raise InputError("trials must be at least 1")
+    _check_int(seed, "seed")
     try:
-        rng = np.random.default_rng(_check_int(seed, "seed"))
+        rng = np.random.default_rng(seed)
     except ValueError as exc:  # a negative seed
         raise InputError(f"seed {seed}: {exc}") from exc
     devs = dict.fromkeys(

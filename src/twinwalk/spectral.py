@@ -133,8 +133,10 @@ def eigendecompose(L: np.ndarray) -> Spectrum:
     A cluster holds the sorted eigenvalues at most DEFAULT_CLUSTER_TOL *
     ||L||_F above its first, so a chain of close values cannot widen it and
     scaling L scales the gap with it; its distinct value is their mean.
-    Raises ConvergenceFailureError when L, a raw matrix (no graph Laplacian
-    does), has a non-finite entry or a squared Frobenius norm that overflows.
+    No graph Laplacian fails these, but a raw matrix L raises
+    ConvergenceFailureError on a non-finite entry or a squared Frobenius
+    norm that overflows, then InputError unless it is square and symmetric
+    to within the gap.
     """
     L = np.asarray(L, dtype=float)
     with np.errstate(over="ignore"):
@@ -142,10 +144,12 @@ def eigendecompose(L: np.ndarray) -> Spectrum:
     if not np.isfinite(fro):
         raise ConvergenceFailureError(
             "matrix has non-finite entries or its norm overflows")
+    gap = DEFAULT_CLUSTER_TOL * fro
+    if L.ndim != 2 or L.shape[0] != L.shape[1] or (np.abs(L - L.T) > gap).any():
+        raise InputError(f"matrix of shape {L.shape} is not square and symmetric")
     raw, V = _jacobi(L, fro)
     order = np.argsort(raw)
     raw = raw[order]
-    gap = DEFAULT_CLUSTER_TOL * fro
     first = []
     for i, mu in enumerate(raw):
         if not first or mu - raw[first[-1]] > gap:

@@ -8,17 +8,21 @@ import math
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import twinwalk
 from twinwalk import (
     CirculantSpec,
     WeightedGraph,
+    build_circulant,
     build_graph,
     check_lpst,
     check_periodic,
     complete_graph,
     eigendecompose,
+    is_gcd_set,
+    k4n_remove_matching,
     laplacian,
     perturb_edge,
     perturbed_propagator,
@@ -27,6 +31,7 @@ from twinwalk import (
     pst_time_scan,
     rank_one_matrix,
     transfer_amplitudes,
+    twin_condition,
     verify_family,
 )
 from twinwalk import errors, spectral
@@ -133,6 +138,40 @@ REJECTED = [
      r"\(4300 digits\)"),
     ("negative_seed", lambda: run_identity_checks(None, -1, 1),
      "seed -1: expected non-negative integer"),
+    # each value rule has one owner in the library, which the JSON reader no
+    # longer duplicates; every row below raised a builtin exception or
+    # nothing at all
+    ("circulant_float_residues",
+     lambda: build_circulant(CirculantSpec(8, frozenset({1.5, 6.5}))),
+     "residue must be an integer, got [16].5"),
+    ("circulant_float_modulus", lambda: twin_condition(CirculantSpec(8.0, frozenset({1, 7}))),
+     "modulus must be an integer, got 8.0"),
+    ("circulant_bool_residue", lambda: CirculantSpec(8, frozenset({True, 7})),
+     "residue must be an integer, got True"),
+    ("gcd_set_float", lambda: is_gcd_set(8, {1.5}), "residue must be an integer, got 1.5"),
+    ("k4n_pair_triple", lambda: k4n_remove_matching(8, [(0, 1, 2)]),
+     r"pairs must be \(a, b\) vertex pairs"),
+    ("weight_bool", lambda: build_graph(4, [(0, 1, True)]), "has weight True"),
+    ("weight_str", lambda: build_graph(4, [(0, 1, "2")]), "has weight '2'"),
+    ("weight_overflow", lambda: build_graph(4, [(0, 1, 10**400)]), "has weight 1000"),
+    ("pgst_float_q_max", lambda: pgst_scan(c4(), 0, 2, q_max=1.5),
+     "q_max must be an integer, got 1.5"),
+    ("family_float_q_max",
+     lambda: verify_family(FamilyInstance(c4(), (), "empty"), q_max=2.5),
+     "q_max must be an integer, got 2.5"),
+    ("float_seed", lambda: run_identity_checks(None, 1.5, 2),
+     "seed must be an integer, got 1.5"),
+    ("float_trials", lambda: run_identity_checks(None, 1, 2.5),
+     "trials must be an integer, got 2.5"),
+    ("rank_one_float", lambda: rank_one_matrix(4.0, 0, 1),
+     "vertex count must be an integer, got 4.0"),
+    # raw matrices: not square, or asymmetric (each spectrum came back wrong)
+    ("eigen_not_square", lambda: eigendecompose(np.zeros((2, 3))),
+     "not square and symmetric"),
+    ("eigen_asymmetric", lambda: eigendecompose([[1.0, 2.0], [0.0, 1.0]]),
+     "not square and symmetric"),
+    ("eigen_nilpotent", lambda: eigendecompose([[0.0, 1.0], [0.0, 0.0]]),
+     "not square and symmetric"),
 ]
 
 

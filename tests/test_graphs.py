@@ -84,6 +84,9 @@ class TestWeightMatrix:
             [[0.0, np.nan], [np.nan, 0.0]],          # non-finite
             [[0.0, np.inf], [np.inf, 0.0]],
             [[1.0, 1.0], [1.0, 0.0]],                # self-loop on the diagonal
+            np.array([[0, 2j], [2j, 0]]),            # complex: not real
+            [[0, 1 + 1j], [1 - 1j, 0]],
+            [["0", "1"], ["1", "0"]],                # strings are not numbers
         ],
     )
     def test_constructor_rejects(self, matrix):

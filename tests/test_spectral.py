@@ -229,6 +229,19 @@ def test_only_check_vertex_raises_out_of_range():
     assert raises == ["graphs._check_vertex"]
 
 
+def test_only_graphs_tests_number_types():
+    """The JSON reader checks shape only; graphs._check_int owns the integer
+    rule, build_graph the weight rule, and cli.main reads its own float
+    options. An isinstance test against int, float or bool anywhere else (a
+    value rule back in jsonio) fails here."""
+    tests = _owners(lambda n: isinstance(n, ast.Call)
+                    and ast.unparse(n.func) == "isinstance"
+                    and {"int", "float", "bool"} & {x.id for x in ast.walk(n.args[1])
+                                                    if isinstance(x, ast.Name)})
+    assert sorted(tests) == ["cli.main", "graphs._check_int", "graphs._check_int",
+                             "graphs.build_graph"]
+
+
 class TestIntegrality:
     def test_k5_integral(self):
         assert is_integral_spectrum(eigendecompose(laplacian(complete(5))))
