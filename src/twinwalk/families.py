@@ -27,6 +27,7 @@ from .errors import InputError, WitnessFailedError
 from .graphs import (
     WeightedGraph,
     _check_int,
+    _check_real,
     _zero_weights,
     is_twin_pair,
     laplacian,
@@ -198,8 +199,7 @@ def verify_family(
     at the first witness the numerics do not confirm; otherwise returns one
     report per witness.
     """
-    if not 0 < tol < 1:
-        raise InputError("tol must lie in (0, 1)")
+    tol = _check_real(tol, 0.0, 1.0, "tol must lie in (0, 1)")
     if _check_int(q_max, "q_max") < 1:
         raise InputError("q_max must be at least 1")
     eps = DEFAULT_EPSILONS[-1]

@@ -8,6 +8,8 @@ Library functions never mutate a graph; perturbations return new graphs.
 
 from __future__ import annotations
 
+import contextlib
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,6 +22,16 @@ def _check_int(value, what: str):
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise InputError(f"{what} must be an integer, got {value!r}")
     return value
+
+
+def _check_real(value, lo: float, hi: float, message) -> float:
+    """float(value) for a real number (not a bool) that a float can hold, strictly
+    between lo and hi; else InputError(message), or message() if it is a function."""
+    with contextlib.suppress(OverflowError):  # float(10**400) overflows
+        if (isinstance(value, numbers.Real) and not isinstance(value, bool)
+                and lo < (x := float(value)) < hi):
+            return x
+    raise InputError(message() if callable(message) else message)
 
 
 def _check_vertex(n: int, v: int) -> None:
@@ -94,13 +106,8 @@ def build_graph(n: int, edge_list: list[tuple[int, int, float]]) -> WeightedGrap
         _check_vertex(n, v)
         if u == v:
             raise InputError(f"self loop at vertex {u}")
-        try:
-            weight = np.nan if isinstance(w, (bool, str)) else float(w)
-        except (TypeError, ValueError, OverflowError):  # float(10**400) overflows
-            weight = np.nan
-        if not 0 < weight < np.inf:
-            raise InputError(f"edge ({u},{v}) has weight {w!r}; weights must be "
-                             "finite and positive numbers")
+        weight = _check_real(w, 0.0, np.inf, lambda: f"edge ({u},{v}) has weight "
+                             f"{w!r}; weights must be finite and positive numbers")
         if A[u, v]:
             raise InputError(f"edge {(min(u, v), max(u, v))} listed twice")
         A[u, v] = A[v, u] = weight
@@ -162,8 +169,7 @@ def perturb_edge(G: WeightedGraph, a: int, b: int, alpha: float) -> WeightedGrap
     """
     if a == b:
         raise InputError("perturbation endpoints must differ")
-    if not np.isfinite(alpha):
-        raise InputError("perturbation alpha must be finite")
+    alpha = _check_real(alpha, -np.inf, np.inf, "perturbation alpha must be finite")
     _check_vertex(G.n, a)
     _check_vertex(G.n, b)
     A = G.matrix.copy()

@@ -68,11 +68,9 @@ def run_identity_checks(
     """
     if _check_int(trials, "trials") < 1:
         raise InputError("trials must be at least 1")
-    _check_int(seed, "seed")
-    try:
-        rng = np.random.default_rng(seed)
-    except ValueError as exc:  # a negative seed
-        raise InputError(f"seed {seed}: {exc}") from exc
+    if _check_int(seed, "seed") < 0:
+        raise InputError(f"seed {seed}: expected non-negative integer")
+    rng = np.random.default_rng(seed)
     devs = dict.fromkeys(
         ("perturbation_laplacian", "twin_commutation", "rank_one_power_law",
          "factorization_vs_oracle", "propagator_unitarity", "spectral_vs_oracle"),

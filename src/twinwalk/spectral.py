@@ -70,13 +70,14 @@ class Spectrum:
 
 def _phases(values: np.ndarray, times) -> np.ndarray:
     """exp(-i mu t) for every time t (rows) and eigenvalue mu (columns);
-    InputError unless every |mu t| is at most pi/eps."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        angles = np.multiply.outer(times, values)
-    if not (np.abs(angles) <= _PHASE_LIMIT).all():
-        raise InputError("t must be finite, and every phase mu t at most "
-                         f"pi/eps = {_PHASE_LIMIT:.3g} in magnitude")
-    return np.exp(-1j * angles)
+    InputError unless t has a real dtype (int, uint, float) and |mu t| <= pi/eps."""
+    if np.asarray(times).dtype.kind in "iuf":  # not bool, complex, str or object
+        with np.errstate(over="ignore", invalid="ignore"):
+            angles = np.multiply.outer(times, values)
+        if (np.abs(angles) <= _PHASE_LIMIT).all():
+            return np.exp(-1j * angles)
+    raise InputError("t must be finite, and every phase mu t at most "
+                     f"pi/eps = {_PHASE_LIMIT:.3g} in magnitude")
 
 
 def _offdiag_norm(A: np.ndarray) -> float:

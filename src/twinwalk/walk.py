@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError
-from .graphs import WeightedGraph, _check_int, laplacian
+from .graphs import WeightedGraph, _check_int, _check_real, laplacian
 from .spectral import Spectrum, _phases, eigendecompose
 
 DEFAULT_LPST_TOL = 1e-9
@@ -116,10 +116,9 @@ def perturbed_propagator(
 
     Valid only when the endpoints of M are twins in the graph s came from.
     """
-    if not np.isfinite(alpha):
-        raise InputError("alpha must be finite")
+    alpha = _check_real(alpha, -np.inf, np.inf, "alpha must be finite")
     U = propagator(s, t)
-    return U @ (np.eye(s.n) + 0.5 * (_phases(2.0 * float(alpha), t) - 1.0) * M)
+    return U @ (np.eye(s.n) + 0.5 * (_phases(2.0 * alpha, t) - 1.0) * M)
 
 
 def _polar(entry: complex) -> tuple[float, complex]:
@@ -139,8 +138,7 @@ def _verdict(s: Spectrum, a: int, b: int, t: float, tol: float) -> TransferRepor
     """LPST (a != b) or PERIODIC (a == b) at fidelity >= 1 - tol, else NONE.
 
     tol must lie in (0, 1): at 1 or more every fidelity would pass."""
-    if not 0 < tol < 1:
-        raise InputError("tol must lie in (0, 1)")
+    tol = _check_real(tol, 0.0, 1.0, "tol must lie in (0, 1)")
     mag, phase = _polar(transfer_amplitudes(s, a, b, np.array([t]))[0])
     hit = TransferKind.LPST if a != b else TransferKind.PERIODIC
     kind = hit if mag >= 1.0 - tol else TransferKind.NONE
@@ -183,8 +181,7 @@ def pst_time_scan(
     t -> 0; check_periodic and pgst_scan(G, p, p) test returns to p."""
     if a == b:
         raise InputError("state transfer needs two distinct vertices")
-    if not 0 < t_max < np.inf:
-        raise InputError("t_max must be positive and finite")
+    t_max = _check_real(t_max, 0.0, np.inf, "t_max must be positive and finite")
     s = _spectrum_of(G)
     times = np.linspace(0.0, t_max, _SCAN_GRID + 1)[1:]
     # Not swept through a phase table as in pgst_scan: on a flat top, where
@@ -239,11 +236,9 @@ def pgst_scan(
     """
     if _check_int(q_max, "q_max") < 1:
         raise InputError("q_max must be at least 1")
-    eps = list(epsilons)
-    if any(not 0.0 < e < 1.0 for e in eps) or any(
-        x <= y for x, y in zip(eps, eps[1:])
-    ):
-        raise InputError("epsilons must be strictly decreasing within (0, 1)")
+    eps, hi = list(epsilons), 1.0
+    for e in eps:  # each in (0, the one before); the ladder keeps the values given
+        hi = _check_real(e, 0.0, hi, "epsilons must be strictly decreasing within (0, 1)")
     s = _spectrum_of(G)
     c = s.coefficients(a, b)
     rows = min(_PHASE_TABLE_ROWS, q_max + 1)

@@ -231,15 +231,16 @@ def test_only_check_vertex_raises_out_of_range():
 
 def test_only_graphs_tests_number_types():
     """The JSON reader checks shape only; graphs._check_int owns the integer
-    rule, build_graph the weight rule, and cli.main reads its own float
-    options. An isinstance test against int, float or bool anywhere else (a
-    value rule back in jsonio) fails here."""
+    rule, graphs._check_real the real-number rule (weights, alpha, tol,
+    t_max, epsilons), and cli.main reads its own float options. An
+    isinstance test against int, float or bool anywhere else (a value rule
+    back in jsonio, or a hand-rolled real check) fails here."""
     tests = _owners(lambda n: isinstance(n, ast.Call)
                     and ast.unparse(n.func) == "isinstance"
                     and {"int", "float", "bool"} & {x.id for x in ast.walk(n.args[1])
                                                     if isinstance(x, ast.Name)})
     assert sorted(tests) == ["cli.main", "graphs._check_int", "graphs._check_int",
-                             "graphs.build_graph"]
+                             "graphs._check_real"]
 
 
 class TestIntegrality:
