@@ -34,21 +34,29 @@ def _check_real(value, lo: float, hi: float, message) -> float:
     raise InputError(message() if callable(message) else message)
 
 
-def _check_vertex(n: int, v: int) -> None:
-    _check_int(v, "vertex")
-    if not 0 <= v < n:
-        raise IndexOutOfRangeError(f"vertex {v} out of range [0, {n})")
+def _shown(value, form=str) -> str:
+    """form(value), or the bit count of an integer too long to print."""
+    try:
+        return form(value)
+    except ValueError:  # more digits than sys.get_int_max_str_digits() allows
+        return f"<{value.bit_length()}-bit integer>"
+
+
+def _check_vertex(n: int, *vertices: int) -> None:
+    for v in vertices:
+        if not 0 <= _check_int(v, "vertex") < n:
+            raise IndexOutOfRangeError(f"vertex {_shown(v)} out of range [0, {n})")
 
 
 def _zero_weights(n: int) -> np.ndarray:
     """n x n zeros; InputError unless n is an integer >= 1 and numpy can
     allocate them."""
     if _check_int(n, "vertex count") < 1:
-        raise InputError(f"vertex count must be positive, got {n}")
+        raise InputError(f"vertex count must be positive, got {_shown(n)}")
     try:
         return np.zeros((n, n))
     except (MemoryError, ValueError) as exc:
-        raise InputError(f"vertex count {n} is too large") from exc
+        raise InputError(f"vertex count {_shown(n)} is too large") from exc
 
 
 @dataclass(frozen=True, eq=False)
@@ -64,7 +72,10 @@ class WeightedGraph:
     matrix: np.ndarray
 
     def __post_init__(self) -> None:
-        A = np.array(self.matrix)
+        try:
+            A = np.array(self.matrix)
+        except ValueError:  # ragged rows have no shape; refused below as dtype object
+            A = np.array(None)
         if (A.dtype.kind not in "iuf"  # bool, complex, str and object are not real
                 or A.ndim != 2 or A.shape[0] != A.shape[1] or A.size == 0
                 or not np.isfinite(A).all() or not np.array_equal(A, A.T)
@@ -102,12 +113,12 @@ def build_graph(n: int, edge_list: list[tuple[int, int, float]]) -> WeightedGrap
     """
     A = _zero_weights(n)
     for u, v, w in edge_list:
-        _check_vertex(n, u)
-        _check_vertex(n, v)
+        _check_vertex(n, u, v)
         if u == v:
             raise InputError(f"self loop at vertex {u}")
         weight = _check_real(w, 0.0, np.inf, lambda: f"edge ({u},{v}) has weight "
-                             f"{w!r}; weights must be finite and positive numbers")
+                             f"{_shown(w, repr)}; weights must be finite and "
+                             "positive numbers")
         if A[u, v]:
             raise InputError(f"edge {(min(u, v), max(u, v))} listed twice")
         A[u, v] = A[v, u] = weight
@@ -126,8 +137,7 @@ def is_twin_pair(G: WeightedGraph, a: int, b: int) -> bool:
     Rows a and b of the adjacency matrix then differ only in columns a and b,
     and there exactly when the pair is joined by an edge.
     """
-    _check_vertex(G.n, a)
-    _check_vertex(G.n, b)
+    _check_vertex(G.n, a, b)
     if a == b:
         raise InputError("twin test needs two distinct vertices")
     A = G.matrix
@@ -152,8 +162,7 @@ def rank_one_matrix(n: int, a: int, b: int) -> np.ndarray:
     edge weight by alpha. Its square equals twice itself.
     """
     M = _zero_weights(n)
-    _check_vertex(n, a)
-    _check_vertex(n, b)
+    _check_vertex(n, a, b)
     if a == b:
         raise InputError("rank-one matrix needs two distinct vertices")
     M[a, a] = M[b, b] = 1.0
@@ -170,8 +179,7 @@ def perturb_edge(G: WeightedGraph, a: int, b: int, alpha: float) -> WeightedGrap
     if a == b:
         raise InputError("perturbation endpoints must differ")
     alpha = _check_real(alpha, -np.inf, np.inf, "perturbation alpha must be finite")
-    _check_vertex(G.n, a)
-    _check_vertex(G.n, b)
+    _check_vertex(G.n, a, b)
     A = G.matrix.copy()
     A[[a, b], [b, a]] += alpha
     return WeightedGraph(A)

@@ -57,8 +57,7 @@ class Spectrum:
 
     def coefficients(self, a: int, b: int) -> np.ndarray:
         """E_j[b, a] for every cluster j, the weights of U(t)[b, a]."""
-        _check_vertex(self.n, a)
-        _check_vertex(self.n, b)
+        _check_vertex(self.n, a, b)
         return np.add.reduceat(self.vectors[a] * self.vectors[b], self.starts)
 
     def unitary(self, t: float) -> np.ndarray:

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError
-from .graphs import WeightedGraph, _check_int, _check_real, laplacian
+from .graphs import WeightedGraph, _check_int, _check_real, _check_vertex, laplacian
 from .spectral import Spectrum, _phases, eigendecompose
 
 DEFAULT_LPST_TOL = 1e-9
@@ -134,11 +134,15 @@ def _spectrum_of(G: WeightedGraph) -> Spectrum:
     return eigendecompose(laplacian(G))
 
 
-def _verdict(s: Spectrum, a: int, b: int, t: float, tol: float) -> TransferReport:
-    """LPST (a != b) or PERIODIC (a == b) at fidelity >= 1 - tol, else NONE.
+def _solve(G: WeightedGraph, a: int, b: int, tol: float = DEFAULT_LPST_TOL) -> Spectrum:
+    """_spectrum_of(G) once tol is in (0, 1) and a, b are vertices of G."""
+    _check_real(tol, 0.0, 1.0, "tol must lie in (0, 1)")  # at 1 every fidelity passes
+    _check_vertex(G.n, a, b)
+    return _spectrum_of(G)
 
-    tol must lie in (0, 1): at 1 or more every fidelity would pass."""
-    tol = _check_real(tol, 0.0, 1.0, "tol must lie in (0, 1)")
+
+def _verdict(s: Spectrum, a: int, b: int, t: float, tol: float) -> TransferReport:
+    """LPST (a != b) or PERIODIC (a == b) at fidelity >= 1 - tol, else NONE."""
     mag, phase = _polar(transfer_amplitudes(s, a, b, np.array([t]))[0])
     hit = TransferKind.LPST if a != b else TransferKind.PERIODIC
     kind = hit if mag >= 1.0 - tol else TransferKind.NONE
@@ -151,14 +155,14 @@ def check_lpst(
     """Evaluate the walk at time t and report whether it transfers a -> b."""
     if a == b:
         raise InputError("state transfer needs two distinct vertices")
-    return _verdict(_spectrum_of(G), a, b, t, tol)
+    return _verdict(_solve(G, a, b, tol), a, b, t, tol)
 
 
 def check_periodic(
     G: WeightedGraph, p: int, t: float, tol: float = DEFAULT_LPST_TOL
 ) -> TransferReport:
     """Report whether the walk returns to vertex p at time t."""
-    return _verdict(_spectrum_of(G), p, p, t, tol)
+    return _verdict(_solve(G, p, p, tol), p, p, t, tol)
 
 
 def pst_time_scan(
@@ -182,7 +186,7 @@ def pst_time_scan(
     if a == b:
         raise InputError("state transfer needs two distinct vertices")
     t_max = _check_real(t_max, 0.0, np.inf, "t_max must be positive and finite")
-    s = _spectrum_of(G)
+    s = _solve(G, a, b, tol)
     times = np.linspace(0.0, t_max, _SCAN_GRID + 1)[1:]
     # Not swept through a phase table as in pgst_scan: on a flat top, where
     # |f| rounds to 1, the table's different rounding of mu_j t moves the
@@ -239,7 +243,7 @@ def pgst_scan(
     eps, hi = list(epsilons), 1.0
     for e in eps:  # each in (0, the one before); the ladder keeps the values given
         hi = _check_real(e, 0.0, hi, "epsilons must be strictly decreasing within (0, 1)")
-    s = _spectrum_of(G)
+    s = _solve(G, a, b)
     c = s.coefficients(a, b)
     rows = min(_PHASE_TABLE_ROWS, q_max + 1)
     table = np.exp(-2j * np.pi * np.outer(np.arange(rows), s.values))

@@ -6,6 +6,7 @@ import ast
 import json
 import math
 import tempfile
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +15,7 @@ import pytest
 import twinwalk
 from twinwalk import (
     CirculantSpec,
+    ExpectedWitness,
     WeightedGraph,
     build_circulant,
     build_graph,
@@ -34,7 +36,7 @@ from twinwalk import (
     twin_condition,
     verify_family,
 )
-from twinwalk import errors, spectral
+from twinwalk import errors, spectral, walk
 from twinwalk.cli import _emit, build_parser, main
 from twinwalk.errors import (
     ConvergenceFailureError,
@@ -172,6 +174,38 @@ REJECTED = [
      "not square and symmetric"),
     ("eigen_nilpotent", lambda: eigendecompose([[0.0, 1.0], [0.0, 0.0]]),
      "not square and symmetric"),
+    # real-valued arguments have one owner, graphs._check_real, and times one
+    # check of their dtype in spectral._phases; each row below raised a
+    # builtin exception or nothing (a complex time gave a fidelity above 1)
+    ("lpst_complex_t", lambda: check_lpst(c4(), 0, 2, math.pi / 2 + 0.5j),
+     "t must be finite"),
+    ("periodic_complex_t", lambda: check_periodic(c4(), 0, 1j), "t must be finite"),
+    ("propagator_complex_t", lambda: propagator(c4_spectrum(), 1j), "t must be finite"),
+    ("amplitudes_complex_t", lambda: transfer_amplitudes(c4_spectrum(), 0, 2, [1.0, 1j]),
+     "t must be finite"),
+    ("lpst_str_t", lambda: check_lpst(c4(), 0, 2, "1"), "t must be finite"),
+    ("edge_alpha_bool", lambda: perturb_edge(c4(), 0, 1, True),
+     "perturbation alpha must be finite"),
+    ("edge_alpha_str", lambda: perturb_edge(c4(), 0, 1, "1"),
+     "perturbation alpha must be finite"),
+    ("propagator_alpha_bool",
+     lambda: perturbed_propagator(c4_spectrum(), 1.0, rank_one_matrix(4, 0, 2), True),
+     "alpha must be finite"),
+    ("propagator_alpha_str",
+     lambda: perturbed_propagator(c4_spectrum(), 1.0, rank_one_matrix(4, 0, 2), "1"),
+     "alpha must be finite"),
+    ("tol_str", lambda: check_lpst(c4(), 0, 2, 1.0, tol="x"), r"tol must lie in \(0, 1\)"),
+    ("t_max_str", lambda: pst_time_scan(c4(), 0, 2, "3"), "t_max must be positive"),
+    ("t_max_bool", lambda: pst_time_scan(c4(), 0, 2, True), "t_max must be positive"),
+    ("epsilon_str", lambda: pgst_scan(c4(), 0, 2, epsilons=("a",)),
+     "epsilons must be strictly decreasing"),
+    ("ragged_matrix", lambda: WeightedGraph([[0, 1], [1]]),
+     r"weight matrix of shape \(\) is not square"),
+    # integers too long for str(): the message shows their bit count
+    ("weight_digits", lambda: build_graph(4, [(0, 1, 10**5000)]),
+     "has weight <16610-bit integer>; weights must be"),
+    ("complete_graph_digits", lambda: complete_graph(10**5000),
+     "vertex count <16610-bit integer> is too large"),
 ]
 
 
@@ -182,6 +216,61 @@ def test_rejected_argument_raises_input_error(call, match):
         call()
     assert isinstance(info.value, TwinWalkError)
     assert isinstance(info.value, ValueError)
+
+
+def test_vertex_too_long_to_print_is_out_of_range():
+    """str(10**5000) raises ValueError; the message shows the bit count."""
+    with pytest.raises(IndexOutOfRangeError,
+                       match=r"vertex <16610-bit integer> out of range \[0, 4\)"):
+        check_lpst(c4(), 0, 10**5000, 1.0)
+
+
+@pytest.mark.parametrize("value", [np.float32(0.25), np.int64(3), Fraction(1, 4)],
+                         ids=["float32", "int64", "fraction"])
+def test_numpy_and_rational_reals_are_accepted(value):
+    """A real-valued argument may be any real number type, with the results
+    of the equal float; tol and epsilons lie in (0, 1), where no integer is."""
+    x = float(value)
+    M = rank_one_matrix(4, 0, 2)
+    assert build_graph(4, [(0, 1, value)]) == build_graph(4, [(0, 1, x)])
+    assert perturb_edge(c4(), 0, 2, value) == perturb_edge(c4(), 0, 2, x)
+    assert np.array_equal(perturbed_propagator(c4_spectrum(), 1.0, M, value),
+                          perturbed_propagator(c4_spectrum(), 1.0, M, x))
+    assert pst_time_scan(c4(), 0, 2, value) == pst_time_scan(c4(), 0, 2, x)
+    if x < 1:
+        assert check_lpst(c4(), 0, 2, 1.0, tol=value) == check_lpst(c4(), 0, 2, 1.0, tol=x)
+        assert (pgst_scan(c4(), 0, 2, q_max=10, epsilons=(value,))
+                == pgst_scan(c4(), 0, 2, q_max=10, epsilons=(x,)))
+        fi = FamilyInstance(c4(), (ExpectedWitness(0, 2, math.pi / 2),), "c4")
+        assert verify_family(fi, tol=value) == verify_family(fi, tol=x)
+
+
+def _solve_refused(L):
+    raise AssertionError("eigendecompose was called")
+
+
+NO_SOLVE = [
+    ("lpst_tol", lambda: check_lpst(c4(), 0, 2, 1.0, tol=1.0)),
+    ("lpst_vertex", lambda: check_lpst(c4(), 0, 4, 1.0)),
+    ("lpst_float_vertex", lambda: check_lpst(c4(), 0.5, 2, 1.0)),
+    ("periodic_tol", lambda: check_periodic(c4(), 0, 1.0, tol=0.0)),
+    ("periodic_vertex", lambda: check_periodic(c4(), -1, 1.0)),
+    ("scan_tol", lambda: pst_time_scan(c4(), 0, 2, 1.0, tol="x")),
+    ("scan_vertex", lambda: pst_time_scan(c4(), 4, 0, 1.0)),
+    ("pgst_vertex", lambda: pgst_scan(c4(), 0, 9, q_max=10)),
+    ("family_tol", lambda: verify_family(
+        FamilyInstance(c4(), (ExpectedWitness(0, 2, math.pi / 2),), "c4"), tol=2.0)),
+]
+
+
+@pytest.mark.parametrize("call", [r[1] for r in NO_SOLVE], ids=[r[0] for r in NO_SOLVE])
+def test_rejected_tol_or_vertex_costs_no_eigensolve(monkeypatch, call):
+    """tol and both vertices are checked before the Laplacian is solved."""
+    monkeypatch.setattr(walk, "eigendecompose", _solve_refused)
+    with pytest.raises(AssertionError, match="eigendecompose was called"):
+        check_lpst(c4(), 0, 2, 1.0)  # the patch is the solve the checks use
+    with pytest.raises((InputError, IndexOutOfRangeError)):
+        call()
 
 
 def test_every_raise_names_a_twinwalk_error_and_every_class_is_used():
