@@ -8,7 +8,6 @@ Library functions never mutate a graph; perturbations return new graphs.
 
 from __future__ import annotations
 
-import contextlib
 import numbers
 from dataclasses import dataclass
 
@@ -27,10 +26,12 @@ def _check_int(value, what: str):
 def _check_real(value, lo: float, hi: float, message) -> float:
     """float(value) for a real number (not a bool) that a float can hold, strictly
     between lo and hi; else InputError(message), or message() if it is a function."""
-    with contextlib.suppress(OverflowError):  # float(10**400) overflows
-        if (isinstance(value, numbers.Real) and not isinstance(value, bool)
+    try:  # float first: it spares most calls the slower numbers.Real check
+        if (isinstance(value, (float, numbers.Real)) and type(value) is not bool
                 and lo < (x := float(value)) < hi):
             return x
+    except OverflowError:  # float(10**400) overflows
+        pass
     raise InputError(message() if callable(message) else message)
 
 
