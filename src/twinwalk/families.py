@@ -199,7 +199,7 @@ def verify_family(
     at the first witness the numerics do not confirm; otherwise returns one
     report per witness.
     """
-    tol = _check_real(tol, 0.0, 1.0, "tol must lie in (0, 1)")
+    _check_real(tol, 0.0, 1.0, "tol must lie in (0, 1)")
     if _check_int(q_max, "q_max") < 1:
         raise InputError("q_max must be at least 1")
     eps = DEFAULT_EPSILONS[-1]
