@@ -11,7 +11,7 @@ from math import gcd
 import numpy as np
 
 from .errors import InputError
-from .graphs import WeightedGraph, _check_int, _zero_weights
+from .graphs import WeightedGraph, _check_int, _shown, _zero_weights
 
 
 @dataclass(frozen=True)
@@ -24,7 +24,7 @@ class CirculantSpec:
 
     def __post_init__(self) -> None:
         if _check_int(self.n, "modulus") < 2:
-            raise InputError(f"modulus must be at least 2, got {self.n}")
+            raise InputError(f"modulus must be at least 2, got {_shown(self.n)}")
         reduced = frozenset(_check_int(s, "residue") % self.n for s in self.S)
         object.__setattr__(self, "S", reduced)
         if 0 in reduced:
@@ -37,7 +37,7 @@ def gcd_class(n: int, d: int) -> frozenset[int]:
     """S_n(d): the residues x in Z_n with gcd(x, n) = d, a proper divisor."""
     _check_int(n, "modulus")
     if not 1 <= _check_int(d, "divisor") < n or n % d:
-        raise InputError(f"{d} is not a proper divisor of {n}")
+        raise InputError(f"{_shown(d)} is not a proper divisor of {_shown(n)}")
     return frozenset(x for x in range(n) if gcd(x, n) == d)
 
 
@@ -70,7 +70,7 @@ def laplacian_eigenvalues(spec: CirculantSpec) -> np.ndarray:
 def twin_condition(spec: CirculantSpec) -> bool:
     """True iff S = n/2 - S, i.e. every pair (x, x + n/2) is a twin pair."""
     if spec.n % 2 != 0:
-        raise InputError(f"modulus {spec.n} is odd")
+        raise InputError(f"modulus {_shown(spec.n)} is odd")
     half = spec.n // 2
     return frozenset((half - s) % spec.n for s in spec.S) == spec.S
 

@@ -28,6 +28,7 @@ from .graphs import (
     WeightedGraph,
     _check_int,
     _check_real,
+    _shown,
     _zero_weights,
     is_twin_pair,
     laplacian,
@@ -83,7 +84,7 @@ def _check_disjoint(pairs) -> list[tuple[int, int]]:
     seen: set[int] = set()
     for a, b in pairs:
         if {_check_int(a, "vertex"), _check_int(b, "vertex")} & seen or a == b:
-            raise InputError(f"pair ({a},{b}) reuses a vertex")
+            raise InputError(f"pair ({_shown(a)},{_shown(b)}) reuses a vertex")
         seen.update((a, b))
     return pairs
 
@@ -118,8 +119,7 @@ def k4n_remove_matching(
 def _quarter_alpha(current_weight: float) -> float:
     alpha = 0.25 - current_weight
     # The construction needs exp(-4 i pi alpha) = -1, i.e. 4 alpha odd.
-    four_alpha = 4.0 * alpha
-    if four_alpha != round(four_alpha) or int(round(four_alpha)) % 2 == 0:
+    if 4.0 * alpha % 2 != 1:
         raise InputError(
             f"quarter-weight increment {alpha} does not satisfy the "
             "odd-multiple phase condition"
@@ -176,7 +176,7 @@ def circulant_twin_edge_family(
     for a, b in pairs:
         if (b - a) % spec.n != half:  # -n/2 = n/2 mod n, so either order
             raise InputError(
-                f"pair ({a},{b}) is not antipodal (offset n/2)"
+                f"pair ({_shown(a)},{_shown(b)}) is not antipodal (offset n/2)"
             )
     # S = n/2 - S and 0 not in S keep n/2 out of S: no pair is an edge yet.
     for a, b in pairs:

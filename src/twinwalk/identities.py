@@ -14,6 +14,7 @@ from .errors import InputError
 from .graphs import (
     WeightedGraph,
     _check_int,
+    _shown,
     laplacian,
     list_twin_pairs,
     perturb_edge,
@@ -69,7 +70,7 @@ def run_identity_checks(
     if _check_int(trials, "trials") < 1:
         raise InputError("trials must be at least 1")
     if _check_int(seed, "seed") < 0:
-        raise InputError(f"seed {seed}: expected non-negative integer")
+        raise InputError(f"seed {_shown(seed)}: expected non-negative integer")
     rng = np.random.default_rng(seed)
     devs = dict.fromkeys(
         ("perturbation_laplacian", "twin_commutation", "rank_one_power_law",

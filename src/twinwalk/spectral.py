@@ -105,20 +105,10 @@ def _jacobi(L: np.ndarray, fro: float) -> tuple[np.ndarray, np.ndarray]:
                 theta = 0.5 * math.atan2(2.0 * apq, A[q, q] - A[p, p])
                 c = math.cos(theta)
                 s = math.sin(theta)
-                rp = A[p, :].copy()
-                rq = A[q, :].copy()
-                A[p, :] = c * rp - s * rq
-                A[q, :] = s * rp + c * rq
-                cp = A[:, p].copy()
-                cq = A[:, q].copy()
-                A[:, p] = c * cp - s * cq
-                A[:, q] = s * cp + c * cq
-                A[p, q] = 0.0
-                A[q, p] = 0.0
-                vp = V[:, p].copy()
-                vq = V[:, q].copy()
-                V[:, p] = c * vp - s * vq
-                V[:, q] = s * vp + c * vq
+                A[p], A[q] = c * A[p] - s * A[q], s * A[p] + c * A[q]
+                A[:, p], A[:, q] = c * A[:, p] - s * A[:, q], s * A[:, p] + c * A[:, q]
+                A[p, q] = A[q, p] = 0.0
+                V[:, p], V[:, q] = c * V[:, p] - s * V[:, q], s * V[:, p] + c * V[:, q]
         if _offdiag_norm(A) <= threshold:
             return np.diag(A).copy(), V
     raise ConvergenceFailureError(

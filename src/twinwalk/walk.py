@@ -205,10 +205,10 @@ def pst_time_scan(
             lo = mid
         else:
             hi = mid
-    t_best = 0.5 * (lo + hi)
-    if not abs(transfer_amplitudes(s, a, b, np.array([t_best]))[0]) > mags[k]:
-        t_best = times[k]
-    return _verdict(s, a, b, float(t_best), tol)
+    refined = _verdict(s, a, b, float(0.5 * (lo + hi)), tol)
+    if refined.fidelity > mags[k]:
+        return refined
+    return _verdict(s, a, b, float(times[k]), tol)
 
 
 def pgst_scan(
@@ -227,21 +227,21 @@ def pgst_scan(
     achieved. With a == b this measures return fidelity, i.e. almost
     periodicity at the vertex.
 
-    Each step of 8192 q values gets its amplitudes as (block @ table.T),
+    Each step of 8192 q values gets its amplitudes as (P @ table.T),
     where table[r, j] = exp(-2 pi i mu_j r) for r < 1024 (fewer rows when
-    q_max + 1 is smaller) and block[i, j] = c_j exp(-i mu_j t) at every
+    q_max + 1 is smaller) and P[i, j] = c_j exp(-i mu_j t) at every
     1024th time t of the step, c being the transfer coefficients of (a, b):
-    one exponential per cluster and block. This form and transfer_amplitudes
-    each round mu_j t by about eps |mu_j| t, so their fidelities agree to
-    that order. Every time of a step is evaluated, so InputError as soon as
-    a step holds a time whose phase exceeds pi/eps. Memory is about 8192 x
-    40 B for the step's times, amplitudes and magnitudes plus 1024 k x 16 B
-    for the table, whatever q_max is.
+    one exponential per cluster and 1024 times. This form and
+    transfer_amplitudes each round mu_j t by about eps |mu_j| t, so their
+    fidelities agree to that order. Every time of a step is evaluated, so
+    InputError as soon as a step holds a time whose phase exceeds pi/eps.
+    Memory is about 8192 x 40 B for the step's times, amplitudes and
+    magnitudes plus 1024 k x 16 B for the table, whatever q_max is.
     """
     if _check_int(q_max, "q_max") < 1:
         raise InputError("q_max must be at least 1")
-    eps, hi = list(epsilons), 1.0
-    for e in eps:  # each in (0, the one before); the ladder keeps the values given
+    pending, hi = list(epsilons), 1.0
+    for e in pending:  # each in (0, the one before); the ladder keeps the values given
         hi = _check_real(e, 0.0, hi, "epsilons must be strictly decreasing within (0, 1)")
     s = _solve(G, a, b)
     c = s.coefficients(a, b)
@@ -250,42 +250,26 @@ def pgst_scan(
     times: list[float] = []
     fids: list[float] = []
     ladder: list[EpsilonHit] = []
-    pending = list(eps)
     best = 0.0
-    q0 = 0
-    while q0 <= q_max:
-        q1 = min(q0 + _PGST_STEP, q_max + 1)
-        ts = (4.0 * np.arange(q0, q1) + 1.0) * (np.pi / 2.0)
-        _phases(s.values, ts[-1])  # the table adds 2 pi mu r to each block start
-        block = _phases(s.values, ts[::rows]) * c
-        amps = (block @ table.T).ravel()[: q1 - q0]
+    for q0 in range(0, q_max + 1, _PGST_STEP):
+        ts = (4.0 * np.arange(q0, min(q0 + _PGST_STEP, q_max + 1)) + 1.0) * (np.pi / 2.0)
+        _phases(s.values, ts[-1])  # the table adds 2 pi mu r to every 1024th time
+        amps = ((_phases(s.values, ts[::rows]) * c) @ table.T).ravel()[: ts.size]
         mags = np.abs(amps)
-
-        limit = mags.size
-        done = False
-        while pending:
-            crossed = np.flatnonzero(mags[:limit] >= 1.0 - pending[0])
-            if crossed.size == 0:
-                break
+        while pending and (crossed := np.flatnonzero(mags >= 1.0 - pending[0])).size:
             i = int(crossed[0])
             ladder.append(EpsilonHit(pending.pop(0), q0 + i, float(ts[i]),
                                      float(mags[i]), _polar(amps[i])[1]))
-            if not pending:
-                limit = i + 1
-                done = True
-
+            if not pending:  # no record after the last hit
+                mags = mags[: i + 1]
         pos = 0
-        while pos < limit:
-            ahead = np.flatnonzero(mags[pos:limit] > best + _RECORD_STEP)
-            if ahead.size == 0:
-                break
+        while (ahead := np.flatnonzero(mags[pos:] > best + _RECORD_STEP)).size:
             pos += int(ahead[0])
             best = float(mags[pos])
             times.append(float(ts[pos]))
             fids.append(best)
             pos += 1
-        if done:
+        if ladder and not pending:  # with no epsilons the scan runs to q_max
             break
-        q0 = q1
     return PGSTWitness(times, fids, ladder)
 

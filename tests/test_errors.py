@@ -21,8 +21,10 @@ from twinwalk import (
     build_graph,
     check_lpst,
     check_periodic,
+    circulant_twin_edge_family,
     complete_graph,
     eigendecompose,
+    gcd_class,
     is_gcd_set,
     k4n_remove_matching,
     laplacian,
@@ -206,6 +208,22 @@ REJECTED = [
      "has weight <16610-bit integer>; weights must be"),
     ("complete_graph_digits", lambda: complete_graph(10**5000),
      "vertex count <16610-bit integer> is too large"),
+    ("seed_digits", lambda: run_identity_checks(None, -10**5000, 1),
+     "seed <16610-bit integer>: expected"),
+    ("modulus_digits", lambda: CirculantSpec(-10**5000, frozenset()),
+     "modulus must be at least 2, got <16610-bit integer>"),
+    ("gcd_class_modulus_digits", lambda: gcd_class(10**5000, 3),
+     "3 is not a proper divisor of <16610-bit integer>"),
+    ("gcd_class_divisor_digits", lambda: gcd_class(8, 10**5000),
+     "<16610-bit integer> is not a proper divisor of 8"),
+    ("odd_modulus_digits", lambda: twin_condition(CirculantSpec(10**5000 + 1, frozenset())),
+     "modulus <16610-bit integer> is odd"),
+    ("k4n_pair_digits", lambda: k4n_remove_matching(8, [(10**5000, 10**5000)]),
+     r"pair \(<16610-bit integer>,<16610-bit integer>\) reuses a vertex"),
+    ("antipodal_pair_digits",
+     lambda: circulant_twin_edge_family(CirculantSpec(8, frozenset({1, 3, 5, 7})),
+                                        [(0, 10**5000)]),
+     r"pair \(0,<16610-bit integer>\) is not antipodal"),
 ]
 
 

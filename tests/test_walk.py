@@ -420,6 +420,26 @@ class TestPgstScan:
         assert [h.time for h in w.epsilon_ladder] == [
             (4 * q + 1) * (PI / 2) for q in qs]
 
+    def test_scan_without_epsilons_runs_to_q_max(self, monkeypatch):
+        # No epsilon is pending, so no step ends the scan: it reaches the last
+        # time of the third 8192-q step. A threshold the walk never reaches
+        # leaves the same records.
+        fi = circulant_twin_edge_family(CirculantSpec(16, frozenset({1, 7, 9, 15})),
+                                        [(0, 8)])
+        q_max = 20_000
+        phases, seen = walk._phases, []
+
+        def spy(values, times):
+            seen.append(np.max(times))
+            return phases(values, times)
+
+        monkeypatch.setattr(walk, "_phases", spy)
+        bare = pgst_scan(fi.graph, 0, 8, q_max, epsilons=())
+        assert max(seen) == (4 * q_max + 1) * (PI / 2)
+        strict = pgst_scan(fi.graph, 0, 8, q_max, epsilons=(1e-12,))
+        assert bare.epsilon_ladder == [] and strict.epsilon_ladder == []
+        assert (bare.times, bare.fidelities) == (strict.times, strict.fidelities)
+
     def test_full_scan_memory_does_not_grow_with_q_max(self, monkeypatch):
         # A NONE scan sweeps all 10^6 + 1 times, about 0.7 MiB at 8192 q per
         # step; a 65 536-q step would peak at 3.3 MiB. The solve runs untraced.
