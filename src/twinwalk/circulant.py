@@ -33,20 +33,26 @@ class CirculantSpec:
             raise InputError("connection set not closed under negation")
 
 
-def gcd_class(n: int, d: int) -> frozenset[int]:
-    """S_n(d): the residues x in Z_n with gcd(x, n) = d, a proper divisor."""
+def _gcd_class_members(n: int, d: int):
+    """A generator over S_n(d); InputError at call time unless d is a proper divisor."""
     _check_int(n, "modulus")
     if not 1 <= _check_int(d, "divisor") < n or n % d:
         raise InputError(f"{_shown(d)} is not a proper divisor of {_shown(n)}")
-    return frozenset(x for x in range(n) if gcd(x, n) == d)
+    return (x for x in range(d, n, d) if gcd(x, n) == d)
+
+
+def gcd_class(n: int, d: int) -> frozenset[int]:
+    """S_n(d): the residues x in Z_n with gcd(x, n) = d, a proper divisor."""
+    return frozenset(_gcd_class_members(n, d))
 
 
 def is_gcd_set(n: int, S: set[int] | frozenset[int]) -> bool:
     """True iff the residues S of Z_n are a union of complete gcd classes:
-    every class that S meets lies inside S."""
+    every class that S meets lies inside S. Stops at the first member of a
+    met class that S lacks."""
     _check_int(n, "modulus")
     S = frozenset(_check_int(s, "residue") for s in S)
-    return all(gcd_class(n, d) <= S for d in {gcd(s, n) for s in S})
+    return all(x in S for d in {gcd(s, n) for s in S} for x in _gcd_class_members(n, d))
 
 
 def build_circulant(spec: CirculantSpec) -> WeightedGraph:
@@ -59,9 +65,12 @@ def build_circulant(spec: CirculantSpec) -> WeightedGraph:
 
 
 def laplacian_eigenvalues(spec: CirculantSpec) -> np.ndarray:
-    """|S| - sum_{s in S} cos(2 pi l s / n), l in Z_n: the graph is |S|-regular."""
-    l = np.arange(spec.n)
-    theta = np.zeros(spec.n)
+    """|S| - sum_{s in S} cos(2 pi l s / n), l in Z_n: the graph is |S|-regular.
+    InputError when numpy cannot hold n values."""
+    try:  # np.arange(2**63) is empty, so np.zeros is what refuses that n
+        l, theta = np.arange(spec.n), np.zeros(spec.n)
+    except (MemoryError, ValueError) as exc:
+        raise InputError(f"modulus {_shown(spec.n)} is too large") from exc
     for s in spec.S:
         theta += np.cos(2.0 * np.pi * l * s / spec.n)
     return len(spec.S) - theta

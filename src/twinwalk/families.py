@@ -31,16 +31,16 @@ from .graphs import (
     _shown,
     _zero_weights,
     is_twin_pair,
-    laplacian,
     perturb_edge,
 )
-from .spectral import eigendecompose, is_integral_spectrum
+from .spectral import is_integral_spectrum
 from .walk import (
     DEFAULT_EPSILONS,
     DEFAULT_LPST_TOL,
     DEFAULT_QMAX,
     TransferKind,
     TransferReport,
+    _spectrum_of,
     check_lpst,
     check_periodic,
     pgst_scan,
@@ -140,7 +140,7 @@ def quarter_weight_family(
     InputError when a pair is not twins in the graph it perturbs.
     """
     pairs = _check_disjoint(pairs)
-    if not is_integral_spectrum(eigendecompose(laplacian(base))):
+    if not is_integral_spectrum(_spectrum_of(base)):
         raise InputError("base graph is not Laplacian integral")
     G = base
     for a, b in pairs:

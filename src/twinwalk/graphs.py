@@ -141,34 +141,29 @@ def is_twin_pair(G: WeightedGraph, a: int, b: int) -> bool:
     _check_vertex(G.n, a, b)
     if a == b:
         raise InputError("twin test needs two distinct vertices")
-    A = G.matrix
-    return bool(np.count_nonzero(A[a] != A[b]) == 2 * (A[a, b] != 0))
+    return bool(_twins(G.matrix, a, slice(b, b + 1))[0])
+
+
+def _twins(A: np.ndarray, a: int, others: slice) -> np.ndarray:
+    """Whether each row A[others] is a twin of row a, as is_twin_pair defines it."""
+    return np.count_nonzero(A[a] != A[others], axis=1) == 2 * (A[a, others] != 0)
 
 
 def list_twin_pairs(G: WeightedGraph) -> list[tuple[int, int]]:
     """All twin pairs (a, b) with a < b, in lexicographic order."""
-    A = G.matrix
-    pairs = []
-    for a in range(G.n):
-        diffs = np.count_nonzero(A[a] != A[a + 1:], axis=1)
-        for b in np.flatnonzero(diffs == 2 * (A[a, a + 1:] != 0)) + a + 1:
-            pairs.append((a, int(b)))
-    return pairs
+    return [(a, int(b)) for a in range(G.n)
+            for b in np.flatnonzero(_twins(G.matrix, a, slice(a + 1, None))) + a + 1]
 
 
 def rank_one_matrix(n: int, a: int, b: int) -> np.ndarray:
-    """The rank-one matrix with +1 at (a,a),(b,b) and -1 at (a,b),(b,a).
+    """The Laplacian of the unit edge (a, b): +1 at (a,a),(b,b), -1 at (a,b),(b,a).
 
     Adding alpha times this matrix to a Laplacian increases the (a, b)
     edge weight by alpha. Its square equals twice itself.
     """
-    M = _zero_weights(n)
-    _check_vertex(n, a, b)
-    if a == b:
+    if np.array_equal(a, b):  # not ==, whose truth an array vertex leaves ambiguous
         raise InputError("rank-one matrix needs two distinct vertices")
-    M[a, a] = M[b, b] = 1.0
-    M[a, b] = M[b, a] = -1.0
-    return M
+    return laplacian(build_graph(n, [(a, b, 1.0)]))
 
 
 def perturb_edge(G: WeightedGraph, a: int, b: int, alpha: float) -> WeightedGraph:

@@ -1,6 +1,10 @@
+from math import gcd
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import twinwalk.circulant as circulant
 from twinwalk import (
     CirculantSpec,
     almost_periodic_applicable,
@@ -70,6 +74,34 @@ class TestGcdMachinery:
         assert not is_gcd_set(16, {1, 7, 9, 15})
         assert is_gcd_set(8, {4})
         assert is_gcd_set(8, set())
+
+    @pytest.mark.parametrize("n", [10**6, 2**20])
+    def test_is_gcd_set_stops_at_first_missing_member(self, monkeypatch, n):
+        calls = 0
+
+        def counted(x, m):
+            nonlocal calls
+            calls += 1
+            return gcd(x, m)
+
+        monkeypatch.setattr(circulant, "gcd", counted)
+        assert not is_gcd_set(n, {1, n - 1})
+        assert calls <= 10
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 64), st.sets(st.integers(-200, 200), max_size=6))
+    def test_is_gcd_set_matches_class_subsets(self, n, S):
+        def outcome(f):
+            try:
+                return f()
+            except InputError as exc:
+                return type(exc), str(exc)
+
+        # Built as is_gcd_set builds it: the order of the gcds decides whether a
+        # residue = 0 mod n raises before a missing class member returns False.
+        T = frozenset(s for s in S)
+        subsets = lambda: all(gcd_class(n, d) <= T for d in {gcd(s, n) for s in T})
+        assert outcome(lambda: is_gcd_set(n, S)) == outcome(subsets)
 
 
 class TestAnalyticEigenvalues:

@@ -28,6 +28,7 @@ from twinwalk import (
     is_gcd_set,
     k4n_remove_matching,
     laplacian,
+    laplacian_eigenvalues,
     perturb_edge,
     perturbed_propagator,
     pgst_scan,
@@ -220,6 +221,14 @@ REJECTED = [
      "modulus <16610-bit integer> is odd"),
     ("k4n_pair_digits", lambda: k4n_remove_matching(8, [(10**5000, 10**5000)]),
      r"pair \(<16610-bit integer>,<16610-bit integer>\) reuses a vertex"),
+    ("rank_one_array_vertices",
+     lambda: rank_one_matrix(4, np.array([0, 1]), np.array([0, 1])), "two distinct vertices"),
+    ("eigenvalues_modulus", lambda: laplacian_eigenvalues(
+        CirculantSpec(10**30, frozenset({1, 10**30 - 1}))),
+     "modulus 1000000000000000000000000000000 is too large"),
+    ("eigenvalues_empty_arange", lambda: laplacian_eigenvalues(
+        CirculantSpec(2**63, frozenset({1, 2**63 - 1}))),
+     "modulus 9223372036854775808 is too large"),
     ("antipodal_pair_digits",
      lambda: circulant_twin_edge_family(CirculantSpec(8, frozenset({1, 3, 5, 7})),
                                         [(0, 10**5000)]),

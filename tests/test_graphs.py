@@ -268,6 +268,20 @@ class TestTwins:
         for G in graphs:
             assert list_twin_pairs(G) == naive_twin_pairs(G)
 
+    def test_pair_test_agrees_with_list(self):
+        rng = np.random.default_rng(11)
+        graphs = [random_twin_graph(rng)[0] for _ in range(200)]
+        graphs.append(perturb_edge(complete_graph(6), 0, 1, -3.0))  # weight -2
+        graphs.append(complete_graph(8))
+        for a in range(0, 8, 2):  # K8 minus a perfect matching
+            graphs[-1] = perturb_edge(graphs[-1], a, a + 1, -1.0)
+        for G in graphs:
+            listed = set(list_twin_pairs(G))
+            for a in range(G.n):
+                for b in range(G.n):
+                    if a != b:
+                        assert is_twin_pair(G, a, b) == ((min(a, b), max(a, b)) in listed)
+
 
 class TestRankOne:
     def test_two_vertices(self):
