@@ -25,7 +25,11 @@ class CirculantSpec:
     def __post_init__(self) -> None:
         if _check_int(self.n, "modulus") < 2:
             raise InputError(f"modulus must be at least 2, got {_shown(self.n)}")
-        reduced = frozenset(_check_int(s, "residue") % self.n for s in self.S)
+        try:
+            residues = iter(self.S)
+        except TypeError as exc:  # not iterable
+            raise InputError(f"connection set must be iterable: {exc}") from exc
+        reduced = frozenset(_check_int(s, "residue") % self.n for s in residues)
         object.__setattr__(self, "S", reduced)
         if 0 in reduced:
             raise InputError("connection set contains 0")

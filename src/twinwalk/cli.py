@@ -155,9 +155,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, needs_input=True):
-        if needs_input:
-            p.add_argument("--input", required=True, help="graph or family JSON file")
+    def add_common(p):
+        p.add_argument("--input", required=True, help="graph or family JSON file")
         p.add_argument("--out", default=None, help="write JSON here instead of stdout")
 
     p = sub.add_parser("twins", help="list all twin pairs")

@@ -28,6 +28,7 @@ from .graphs import (
     WeightedGraph,
     _check_int,
     _check_real,
+    _check_vertex,
     _shown,
     _zero_weights,
     is_twin_pair,
@@ -195,13 +196,16 @@ def verify_family(
     DEFAULT_EPSILONS threshold and passes once the smallest is reached.
     Otherwise it passes at fidelity >= 1 - tol: PERIODIC (a == b) through
     check_periodic, LPST through check_lpst. tol must lie in (0, 1) and
-    q_max be at least 1, whatever the witnesses. Raises WitnessFailedError
-    at the first witness the numerics do not confirm; otherwise returns one
-    report per witness.
+    q_max be at least 1, whatever the witnesses, and every witness's
+    vertices be vertices of the graph; all are checked before any solve.
+    Raises WitnessFailedError at the first witness the numerics do not
+    confirm; otherwise returns one report per witness.
     """
     _check_real(tol, 0.0, 1.0, "tol must lie in (0, 1)")
     if _check_int(q_max, "q_max") < 1:
         raise InputError("q_max must be at least 1")
+    for w in fi.expected_witnesses:
+        _check_vertex(fi.graph.n, w.a, w.b)
     eps = DEFAULT_EPSILONS[-1]
     reports = []
     for w in fi.expected_witnesses:

@@ -49,6 +49,21 @@ def _check_vertex(n: int, *vertices: int) -> None:
             raise IndexOutOfRangeError(f"vertex {_shown(v)} out of range [0, {n})")
 
 
+def _check_distinct(a, b, message: str) -> None:
+    if np.array_equal(a, b):  # not ==, whose truth an array vertex leaves ambiguous
+        raise InputError(message)
+
+
+def _as_array(value) -> np.ndarray:
+    """np.array(value), a new array; ragged rows, which numpy gives no shape,
+    become a 0-d object array, so a real dtype test (kind in "iuf") refuses
+    them with bool, complex, str and object."""
+    try:
+        return np.array(value)
+    except ValueError:
+        return np.array(None)
+
+
 def _zero_weights(n: int) -> np.ndarray:
     """n x n zeros; InputError unless n is an integer >= 1 and numpy can
     allocate them."""
@@ -73,10 +88,7 @@ class WeightedGraph:
     matrix: np.ndarray
 
     def __post_init__(self) -> None:
-        try:
-            A = np.array(self.matrix)
-        except ValueError:  # ragged rows have no shape; refused below as dtype object
-            A = np.array(None)
+        A = _as_array(self.matrix)
         if (A.dtype.kind not in "iuf"  # bool, complex, str and object are not real
                 or A.ndim != 2 or A.shape[0] != A.shape[1] or A.size == 0
                 or not np.isfinite(A).all() or not np.array_equal(A, A.T)
@@ -113,7 +125,11 @@ def build_graph(n: int, edge_list: list[tuple[int, int, float]]) -> WeightedGrap
     for any other invalid input.
     """
     A = _zero_weights(n)
-    for u, v, w in edge_list:
+    try:
+        edges = [(u, v, w) for u, v, w in edge_list]
+    except (TypeError, ValueError) as exc:  # not iterable, or not three entries
+        raise InputError(f"edges must be (u, v, w) triples: {exc}") from exc
+    for u, v, w in edges:
         _check_vertex(n, u, v)
         if u == v:
             raise InputError(f"self loop at vertex {u}")
@@ -139,8 +155,7 @@ def is_twin_pair(G: WeightedGraph, a: int, b: int) -> bool:
     and there exactly when the pair is joined by an edge.
     """
     _check_vertex(G.n, a, b)
-    if a == b:
-        raise InputError("twin test needs two distinct vertices")
+    _check_distinct(a, b, "twin test needs two distinct vertices")
     return bool(_twins(G.matrix, a, slice(b, b + 1))[0])
 
 
@@ -161,8 +176,7 @@ def rank_one_matrix(n: int, a: int, b: int) -> np.ndarray:
     Adding alpha times this matrix to a Laplacian increases the (a, b)
     edge weight by alpha. Its square equals twice itself.
     """
-    if np.array_equal(a, b):  # not ==, whose truth an array vertex leaves ambiguous
-        raise InputError("rank-one matrix needs two distinct vertices")
+    _check_distinct(a, b, "rank-one matrix needs two distinct vertices")
     return laplacian(build_graph(n, [(a, b, 1.0)]))
 
 
@@ -172,8 +186,7 @@ def perturb_edge(G: WeightedGraph, a: int, b: int, alpha: float) -> WeightedGrap
     A resulting weight of exactly zero removes the edge. Negative results
     are kept, not rejected.
     """
-    if a == b:
-        raise InputError("perturbation endpoints must differ")
+    _check_distinct(a, b, "perturbation endpoints must differ")
     alpha = _check_real(alpha, -np.inf, np.inf, "perturbation alpha must be finite")
     _check_vertex(G.n, a, b)
     A = G.matrix.copy()

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceFailureError, InputError
-from .graphs import _check_vertex
+from .graphs import _as_array, _check_real, _check_vertex
 
 DEFAULT_CLUSTER_TOL = 1e-8
 DEFAULT_INT_TOL = 1e-6
@@ -123,12 +123,16 @@ def eigendecompose(L: np.ndarray) -> Spectrum:
     A cluster holds the sorted eigenvalues at most DEFAULT_CLUSTER_TOL *
     ||L||_F above its first, so a chain of close values cannot widen it and
     scaling L scales the gap with it; its distinct value is their mean.
-    No graph Laplacian fails these, but a raw matrix L raises
+    No graph Laplacian fails these, but a raw matrix L raises InputError
+    unless it is real (int or float, as a weight matrix must be), then
     ConvergenceFailureError on a non-finite entry or a squared Frobenius
     norm that overflows, then InputError unless it is square and symmetric
     to within the gap.
     """
-    L = np.asarray(L, dtype=float)
+    L = _as_array(L)
+    if L.dtype.kind not in "iuf":  # bool, complex, str, object and ragged rows
+        raise InputError(f"matrix of dtype {L.dtype} is not real")
+    L = L.astype(float, copy=False)
     with np.errstate(over="ignore"):
         fro = float(np.sqrt((L * L).sum()))
     if not np.isfinite(fro):
@@ -161,11 +165,16 @@ def matrix_exp_oracle(H: np.ndarray, t: float) -> np.ndarray:
     Independent of the spectral route: no eigendecomposition is involved.
     The exponent is scaled so its Frobenius norm is at most 0.5, a degree-18
     Taylor polynomial is summed, and the result is squared back up.
+    InputError unless t is a real number and t H has a finite norm.
     """
+    t = _check_real(t, -np.inf, np.inf, "t must be finite")
     H = np.asarray(H, dtype=float)
     n = H.shape[0]
-    X = -1j * t * H.astype(complex)
-    norm = float(np.sqrt((np.abs(X) ** 2).sum()))
+    with np.errstate(over="ignore", invalid="ignore"):
+        X = -1j * t * H.astype(complex)
+        norm = float(np.sqrt((np.abs(X) ** 2).sum()))
+    if not np.isfinite(norm):
+        raise InputError("t H must have a finite norm")
     s = 0
     if norm > _ORACLE_TARGET_NORM:
         s = int(np.ceil(np.log2(norm / _ORACLE_TARGET_NORM)))

@@ -32,7 +32,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError
-from .graphs import WeightedGraph, _check_int, _check_real, _check_vertex, laplacian
+from .graphs import (WeightedGraph, _check_distinct, _check_int, _check_real,
+                     _check_vertex, laplacian)
 from .spectral import Spectrum, _phases, eigendecompose
 
 DEFAULT_LPST_TOL = 1e-9
@@ -153,8 +154,7 @@ def check_lpst(
     G: WeightedGraph, a: int, b: int, t: float, tol: float = DEFAULT_LPST_TOL
 ) -> TransferReport:
     """Evaluate the walk at time t and report whether it transfers a -> b."""
-    if a == b:
-        raise InputError("state transfer needs two distinct vertices")
+    _check_distinct(a, b, "state transfer needs two distinct vertices")
     return _verdict(_solve(G, a, b, tol), a, b, t, tol)
 
 
@@ -183,8 +183,7 @@ def pst_time_scan(
     stable to rounding. The grid point is kept unless the refined time is
     strictly better. Source and target must differ, as |U(t)[p, p]| -> 1 as
     t -> 0; check_periodic and pgst_scan(G, p, p) test returns to p."""
-    if a == b:
-        raise InputError("state transfer needs two distinct vertices")
+    _check_distinct(a, b, "state transfer needs two distinct vertices")
     t_max = _check_real(t_max, 0.0, np.inf, "t_max must be positive and finite")
     s = _solve(G, a, b, tol)
     times = np.linspace(0.0, t_max, _SCAN_GRID + 1)[1:]
@@ -240,7 +239,10 @@ def pgst_scan(
     """
     if _check_int(q_max, "q_max") < 1:
         raise InputError("q_max must be at least 1")
-    pending, hi = list(epsilons), 1.0
+    try:
+        pending, hi = list(epsilons), 1.0
+    except TypeError as exc:  # not iterable
+        raise InputError(f"epsilons must be an iterable of numbers: {exc}") from exc
     for e in pending:  # each in (0, the one before); the ladder keeps the values given
         hi = _check_real(e, 0.0, hi, "epsilons must be strictly decreasing within (0, 1)")
     s = _solve(G, a, b)

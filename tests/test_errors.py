@@ -3,6 +3,7 @@ TwinWalkError and a ValueError), every raise in the library names a
 TwinWalkError class, and each class maps to one command-line exit code."""
 
 import ast
+import inspect
 import json
 import math
 import tempfile
@@ -29,6 +30,7 @@ from twinwalk import (
     k4n_remove_matching,
     laplacian,
     laplacian_eigenvalues,
+    matrix_exp_oracle,
     perturb_edge,
     perturbed_propagator,
     pgst_scan,
@@ -39,7 +41,7 @@ from twinwalk import (
     twin_condition,
     verify_family,
 )
-from twinwalk import errors, spectral, walk
+from twinwalk import errors, graphs, spectral, walk
 from twinwalk.cli import _emit, build_parser, main
 from twinwalk.errors import (
     ConvergenceFailureError,
@@ -75,6 +77,11 @@ def load_text(text):
 
 def c4_spectrum():
     return eigendecompose(laplacian(c4()))
+
+
+def arr(*vertices):
+    """An array of vertices, where the library expects one vertex."""
+    return np.array(vertices)
 
 
 REJECTED = [
@@ -233,6 +240,49 @@ REJECTED = [
      lambda: circulant_twin_edge_family(CirculantSpec(8, frozenset({1, 3, 5, 7})),
                                         [(0, 10**5000)]),
      r"pair \(0,<16610-bit integer>\) is not antipodal"),
+    # two distinct vertices have one owner, graphs._check_distinct, which
+    # compares array vertices as arrays: each row below raised numpy's
+    # builtin ValueError ("truth value of an array ... is ambiguous")
+    ("edge_equal_array_vertices", lambda: perturb_edge(c4(), arr(0, 1), arr(0, 1), 1.0),
+     "perturbation endpoints must differ"),
+    ("edge_array_vertices", lambda: perturb_edge(c4(), arr(0, 1), arr(2, 3), 1.0),
+     "vertex must be an integer"),
+    ("lpst_equal_array_vertices", lambda: check_lpst(c4(), arr(0, 1), arr(0, 1), 1.0),
+     "state transfer needs two distinct vertices"),
+    ("lpst_array_vertices", lambda: check_lpst(c4(), arr(0, 1), arr(2, 3), 1.0),
+     "vertex must be an integer"),
+    ("scan_equal_array_vertices", lambda: pst_time_scan(c4(), arr(0, 1), arr(0, 1), 1.0),
+     "state transfer needs two distinct vertices"),
+    ("scan_array_vertices", lambda: pst_time_scan(c4(), arr(0, 1), arr(2, 3), 1.0),
+     "vertex must be an integer"),
+    ("family_array_witness", lambda: verify_family(
+        FamilyInstance(c4(), (ExpectedWitness(arr(0, 1), arr(2, 3), 1.0),), "c4")),
+     "vertex must be an integer"),
+    # a raw matrix must be real: complex lost its imaginary part with a
+    # ComplexWarning, a string and ragged rows raised builtin ValueErrors
+    ("eigen_complex", lambda: eigendecompose(np.eye(2) * 1j),
+     "matrix of dtype complex128 is not real"),
+    ("eigen_str", lambda: eigendecompose("ab"), "matrix of dtype <U2 is not real"),
+    ("eigen_ragged", lambda: eigendecompose([[0, 1], [1]]),
+     "matrix of dtype object is not real"),
+    # the oracle's time: NaN and inf gave NaN matrices, 1e300 a builtin
+    # OverflowError from the scaling exponent
+    ("oracle_nan_t", lambda: matrix_exp_oracle(laplacian(c4()), math.nan),
+     "t must be finite"),
+    ("oracle_inf_t", lambda: matrix_exp_oracle(laplacian(c4()), math.inf),
+     "t must be finite"),
+    ("oracle_norm", lambda: matrix_exp_oracle(laplacian(c4()), 1e300),
+     "t H must have a finite norm"),
+    # arguments that are not iterable, or edges that are not triples: each
+    # raised a builtin TypeError or ValueError
+    ("pgst_float_epsilons", lambda: pgst_scan(c4(), 0, 2, 10, 0.5),
+     "epsilons must be an iterable of numbers"),
+    ("circulant_int_set", lambda: CirculantSpec(8, 3), "connection set must be iterable"),
+    ("build_graph_pair_edge", lambda: build_graph(3, [(0, 1)]),
+     r"edges must be \(u, v, w\) triples"),
+    # a vertex out of range is an InputError too (and still an IndexError)
+    ("vertex_out_of_range", lambda: check_lpst(c4(), 0, 4, 1.0),
+     r"vertex 4 out of range \[0, 4\)"),
 ]
 
 
@@ -248,8 +298,24 @@ def test_rejected_argument_raises_input_error(call, match):
 def test_vertex_too_long_to_print_is_out_of_range():
     """str(10**5000) raises ValueError; the message shows the bit count."""
     with pytest.raises(IndexOutOfRangeError,
-                       match=r"vertex <16610-bit integer> out of range \[0, 4\)"):
+                       match=r"vertex <16610-bit integer> out of range \[0, 4\)") as info:
         check_lpst(c4(), 0, 10**5000, 1.0)
+    assert isinstance(info.value, InputError)
+    assert isinstance(info.value, IndexError)
+
+
+@pytest.mark.parametrize("site", [graphs.rank_one_matrix, graphs.perturb_edge,
+                                  graphs.is_twin_pair, walk.check_lpst, walk.pst_time_scan],
+                         ids=lambda site: site.__name__)
+def test_distinct_vertices_have_one_owner(site):
+    """Each site rejects equal vertices through graphs._check_distinct, and
+    compares its two vertices nowhere else."""
+    tree = ast.parse(inspect.getsource(site))
+    calls = [ast.unparse(node.func) for node in ast.walk(tree) if isinstance(node, ast.Call)]
+    operands = [{ast.unparse(node.left), *map(ast.unparse, node.comparators)}
+                for node in ast.walk(tree) if isinstance(node, ast.Compare)]
+    assert calls.count("_check_distinct") == 1
+    assert {"a", "b"} not in operands
 
 
 @pytest.mark.parametrize("value", [np.float32(0.25), np.int64(3), Fraction(1, 4)],

@@ -17,6 +17,7 @@ from twinwalk import (
     rank_one_matrix,
 )
 from twinwalk.errors import IndexOutOfRangeError, InputError, TwinWalkError
+from twinwalk.graphs import _check_distinct
 from twinwalk.identities import random_twin_graph
 from conftest import cycle_graph, naive_twin_pairs, path_graph
 
@@ -311,6 +312,21 @@ class TestRankOne:
             rank_one_matrix(3, 1, 1)
         with pytest.raises(IndexOutOfRangeError):
             rank_one_matrix(3, 0, 3)
+
+
+@pytest.mark.parametrize("a, b", [
+    (1, 1), (1, 2), (True, 1), (False, True), (1.0, 1), (1.5, 1),
+    (float("nan"), float("nan")), ("a", "a"), ("a", "b"), ([0, 1], [0, 1]),
+    ([0, 1], [0, 2]), (None, None), (None, 0),
+    pytest.param(10**5000, 10**5000, id="long-int"),
+])
+def test_check_distinct_agrees_with_equality_off_arrays(a, b):
+    """On a non-array vertex the array-safe test refuses exactly what == does."""
+    if a == b:
+        with pytest.raises(InputError, match="must differ"):
+            _check_distinct(a, b, "must differ")
+    else:
+        _check_distinct(a, b, "must differ")
 
 
 class TestPerturbEdge:
