@@ -29,7 +29,8 @@ class CirculantSpec:
             residues = iter(self.S)
         except TypeError as exc:  # not iterable
             raise InputError(f"connection set must be iterable: {exc}") from exc
-        reduced = frozenset(_check_int(s, "residue") % self.n for s in residues)
+        n = int(self.n)  # Python integers: numpy ones cannot reduce past int64
+        reduced = frozenset(int(_check_int(s, "residue")) % n for s in residues)
         object.__setattr__(self, "S", reduced)
         if 0 in reduced:
             raise InputError("connection set contains 0")

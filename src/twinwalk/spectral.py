@@ -1,14 +1,17 @@
 """Symmetric eigendecomposition with clustered eigenvalues, integrality tests,
 and a series-based matrix exponential used as an independent oracle.
 
-The eigensolver is a cyclic Jacobi sweep: robust at the small dimensions this
-library targets (n <= 64) and guaranteed to produce orthogonal eigenvectors
-on symmetric input. A read-only Spectrum keeps the sorted eigenbasis and
-merges eigenvalues closer than a clustering tolerance into one distinct value;
-transfer coefficients and propagators are derived from the basis here, so
-degenerate eigenspaces only enter through sums over their clusters. Every
-propagator entry U(t)[b, a] a verdict reads is a sum over the transfer
-coefficients of (a, b), which also check that both vertices are in range.
+The eigensolver is threshold cyclic Jacobi: robust at the small dimensions
+this library targets (n <= 64) and guaranteed to produce orthogonal
+eigenvectors on symmetric input. It skips a rotation whose entry is below
+both threshold / n, so the stopping rule stays reachable, and eps ||L||_F,
+so the rotation would only move rounding noise. A read-only Spectrum keeps
+the sorted eigenbasis and merges eigenvalues closer than a clustering
+tolerance into one distinct value; transfer coefficients and propagators are
+derived from the basis here, so degenerate eigenspaces only enter through
+sums over their clusters. Every propagator entry U(t)[b, a] a verdict reads
+is a sum over the transfer coefficients of (a, b), which also check that
+both vertices are in range.
 """
 
 from __future__ import annotations
@@ -79,38 +82,55 @@ def _phases(values: np.ndarray, times) -> np.ndarray:
                      f"pi/eps = {_PHASE_LIMIT:.3g} in magnitude")
 
 
+def _real_matrix(M) -> np.ndarray:
+    """M as a float array; InputError unless it is real (int or float, as a
+    weight matrix must be)."""
+    M = _as_array(M)
+    if M.dtype.kind not in "iuf":  # bool, complex, str, object and ragged rows
+        raise InputError(f"matrix of dtype {M.dtype} is not real")
+    return M.astype(float, copy=False)
+
+
 def _offdiag_norm(A: np.ndarray) -> float:
     off = A - np.diag(np.diag(A))
     return float(np.sqrt((off * off).sum()))
 
 
 def _jacobi(L: np.ndarray, fro: float) -> tuple[np.ndarray, np.ndarray]:
-    """Cyclic Jacobi rotations on L with Frobenius norm fro. Returns
-    (eigenvalues, eigenvector columns)."""
+    """Threshold cyclic Jacobi on L with Frobenius norm fro. Returns
+    (eigenvalues, eigenvector columns). A rotation is skipped while |a_pq| <
+    min(threshold / n, eps fro): below the first in every entry, the
+    off-diagonal norm is below the threshold, so the stopping rule stays
+    reachable; below the second, a rotation would only move rounding noise,
+    tilting a basis vector by at most eps fro / gap."""
     A = np.array(L, dtype=float)
     n = A.shape[0]
-    V = np.eye(n)
+    W = np.eye(n)  # V^T: a rotation turns two rows of A and two of W
     threshold = _JACOBI_OFFDIAG_FACTOR * fro
+    skip = min(threshold / n, np.finfo(float).eps * fro)
     if _offdiag_norm(A) <= threshold:
-        return np.diag(A).copy(), V
+        return np.diag(A).copy(), W.T
     for _ in range(_JACOBI_MAX_SWEEPS):
         for p in range(n - 1):
+            Ap, Wp = A[p], W[p]
             for q in range(p + 1, n):
-                apq = A[p, q]
-                if apq == 0.0:
+                apq = Ap[q]
+                if abs(apq) < skip:
                     continue
+                Aq, Wq = A[q], W[q]
+                app, aqq = Ap[p], Aq[q]
                 # atan2, not the inner rotation (|theta| <= pi/4), sorts the pair:
                 # a_qq - a_pp becomes hypot(a_qq - a_pp, 2 a_pq) >= 0, so repeated
                 # eigenvalues gather early; and no ratio of entries overflows it.
-                theta = 0.5 * math.atan2(2.0 * apq, A[q, q] - A[p, p])
-                c = math.cos(theta)
-                s = math.sin(theta)
-                A[p], A[q] = c * A[p] - s * A[q], s * A[p] + c * A[q]
-                A[:, p], A[:, q] = c * A[:, p] - s * A[:, q], s * A[:, p] + c * A[:, q]
-                A[p, q] = A[q, p] = 0.0
-                V[:, p], V[:, q] = c * V[:, p] - s * V[:, q], s * V[:, p] + c * V[:, q]
+                theta = 0.5 * math.atan2(2.0 * apq, aqq - app)
+                c, s = math.cos(theta), math.sin(theta)
+                Ap[:], Aq[:] = c * Ap - s * Aq, s * Ap + c * Aq
+                Wp[:], Wq[:] = c * Wp - s * Wq, s * Wp + c * Wq
+                A[:, p], A[:, q] = Ap, Aq  # mirrored: A stays exactly symmetric
+                d = s * s * (aqq - app) - 2.0 * c * s * apq  # 2 x 2 closed form
+                Ap[p], Aq[q], Ap[q], Aq[p] = app + d, aqq - d, 0.0, 0.0
         if _offdiag_norm(A) <= threshold:
-            return np.diag(A).copy(), V
+            return np.diag(A).copy(), W.T
     raise ConvergenceFailureError(
         f"off-diagonal norm {_offdiag_norm(A):.3e} above {threshold:.3e} "
         f"after {_JACOBI_MAX_SWEEPS} sweeps"
@@ -129,10 +149,7 @@ def eigendecompose(L: np.ndarray) -> Spectrum:
     norm that overflows, then InputError unless it is square and symmetric
     to within the gap.
     """
-    L = _as_array(L)
-    if L.dtype.kind not in "iuf":  # bool, complex, str, object and ragged rows
-        raise InputError(f"matrix of dtype {L.dtype} is not real")
-    L = L.astype(float, copy=False)
+    L = _real_matrix(L)
     with np.errstate(over="ignore"):
         fro = float(np.sqrt((L * L).sum()))
     if not np.isfinite(fro):
@@ -165,10 +182,13 @@ def matrix_exp_oracle(H: np.ndarray, t: float) -> np.ndarray:
     Independent of the spectral route: no eigendecomposition is involved.
     The exponent is scaled so its Frobenius norm is at most 0.5, a degree-18
     Taylor polynomial is summed, and the result is squared back up.
-    InputError unless t is a real number and t H has a finite norm.
+    InputError unless t is a real number, H a real square matrix and t H has
+    a finite norm.
     """
     t = _check_real(t, -np.inf, np.inf, "t must be finite")
-    H = np.asarray(H, dtype=float)
+    H = _real_matrix(H)
+    if H.ndim != 2 or H.shape[0] != H.shape[1]:
+        raise InputError(f"matrix of shape {H.shape} is not square")
     n = H.shape[0]
     with np.errstate(over="ignore", invalid="ignore"):
         X = -1j * t * H.astype(complex)

@@ -34,7 +34,7 @@ import numpy as np
 from .errors import InputError
 from .graphs import (WeightedGraph, _check_distinct, _check_int, _check_real,
                      _check_vertex, laplacian)
-from .spectral import Spectrum, _phases, eigendecompose
+from .spectral import Spectrum, _phases, _real_matrix, eigendecompose
 
 DEFAULT_LPST_TOL = 1e-9
 DEFAULT_QMAX = 1_000_000
@@ -115,8 +115,12 @@ def perturbed_propagator(
     """Closed-form propagator at time t of the graph whose spectrum is s with
     alpha added to the edge of M's pair.
 
-    Valid only when the endpoints of M are twins in the graph s came from.
+    Valid only when the endpoints of M are twins in the graph s came from;
+    InputError unless M is a real n x n matrix and alpha a real number.
     """
+    M = _real_matrix(M)
+    if M.shape != (s.n, s.n):
+        raise InputError(f"M of shape {M.shape} is not {s.n} x {s.n}")
     alpha = _check_real(alpha, -np.inf, np.inf, "alpha must be finite")
     U = propagator(s, t)
     return U @ (np.eye(s.n) + 0.5 * (_phases(2.0 * alpha, t) - 1.0) * M)

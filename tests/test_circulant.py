@@ -50,6 +50,13 @@ class TestSpecAndBuild:
         spec = CirculantSpec(8, frozenset({9, 15}))
         assert spec.S == frozenset({1, 7})
 
+    def test_numpy_integers_reduce_past_int64(self):
+        # a numpy residue, or a numpy modulus, raised a builtin OverflowError
+        # when reduced against a Python integer past the int64 range
+        big = 10**30
+        assert CirculantSpec(big, [np.int64(3), big - 3]) == CirculantSpec(big, [3, big - 3])
+        assert CirculantSpec(np.int64(10), [big + 3, 7]).S == frozenset({3, 7})
+
 
 class TestGcdMachinery:
     @pytest.mark.parametrize(

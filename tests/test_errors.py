@@ -273,6 +273,17 @@ REJECTED = [
      "t must be finite"),
     ("oracle_norm", lambda: matrix_exp_oracle(laplacian(c4()), 1e300),
      "t H must have a finite norm"),
+    # the oracle's matrix: complex lost its imaginary part with a
+    # ComplexWarning, ragged rows and a non-square matrix raised builtin
+    # ValueErrors; M of the wrong size raised numpy's broadcast ValueError
+    ("oracle_complex", lambda: matrix_exp_oracle(np.eye(2) * 1j, 1.0),
+     "matrix of dtype complex128 is not real"),
+    ("oracle_ragged", lambda: matrix_exp_oracle([[0, 1], [1]], 1.0),
+     "matrix of dtype object is not real"),
+    ("oracle_not_square", lambda: matrix_exp_oracle(np.zeros((2, 3)), 1.0),
+     r"matrix of shape \(2, 3\) is not square"),
+    ("perturbed_wrong_size", lambda: perturbed_propagator(c4_spectrum(), 1.0, np.eye(3), 1.0),
+     r"M of shape \(3, 3\) is not 4 x 4"),
     # arguments that are not iterable, or edges that are not triples: each
     # raised a builtin TypeError or ValueError
     ("pgst_float_epsilons", lambda: pgst_scan(c4(), 0, 2, 10, 0.5),
@@ -438,10 +449,13 @@ EXIT_IDS = ["input", "input_unknown_key", "index", "convergence", "witness", "ou
     "error, doc, argv, code, phrase", EXIT_TABLE, ids=EXIT_IDS)
 def test_cli_exit_code_per_error_class(tmp_path, capsys, monkeypatch,
                                        error, doc, argv, code, phrase):
+    rotations = []
     if error is ConvergenceFailureError:
         monkeypatch.setattr(spectral, "_JACOBI_MAX_SWEEPS", 0)  # give up at once
+        monkeypatch.setattr(spectral.math, "atan2", lambda y, x: rotations.append(None))
     argv = [argv[0], "--input", write(tmp_path, "in.json", doc), *argv[1:]]
     assert main(argv) == code
+    assert rotations == []  # no sweep allowed: not one rotation is made
     captured = capsys.readouterr()
     if error is WitnessFailedError:
         # the family command reports the failed witness as its verdict

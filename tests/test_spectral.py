@@ -1,4 +1,5 @@
 import ast
+import math
 from pathlib import Path
 
 import numpy as np
@@ -135,14 +136,15 @@ class TestEigendecompose:
 @st.composite
 def laplacians(draw):
     """A graph Laplacian on n <= 20 vertices with integer weights, or with
-    float weights that mix unit-scale and tiny (1e-12 to 1e-6) edges, so its
-    diagonal comes in no order and tiny couplings meet wide diagonal gaps;
+    float weights that mix unit-scale and tiny (1e-16 to 1e-6) edges, so its
+    diagonal comes in no order, tiny couplings meet wide diagonal gaps and
+    some start below the rotation threshold;
     up to three vertices copy another's weights, which plants twins."""
     n = draw(st.integers(1, 20))
     if draw(st.booleans()):
         weight = st.integers(0, 4).map(float)
     else:
-        weight = st.one_of(st.just(0.0), st.floats(0.1, 10.0), st.floats(1e-12, 1e-6))
+        weight = st.one_of(st.just(0.0), st.floats(0.1, 10.0), st.floats(1e-16, 1e-6))
     rows, cols = np.triu_indices(n, 1)
     W = np.zeros((n, n))
     W[rows, cols] = draw(st.lists(weight, min_size=rows.size, max_size=rows.size))
@@ -159,15 +161,20 @@ class TestJacobi:
         # K24 minus the matching {2i, 2i + 1} has eigenvalues 0, 22 and 24.
         # Inner rotations (|theta| <= pi/4) took 11 sweeps on it, rotations
         # that sort each pair take 4; a sweep is one _offdiag_norm call after
-        # the one before the first
-        calls = []
-        norm = twinwalk.spectral._offdiag_norm
+        # the one before the first. Rotating every nonzero entry took 1103
+        # rotations (atan2 calls); skipping those below eps ||L||_F, which
+        # only move rounding noise, takes under 800
+        sweeps, rotations = [], []
+        norm, atan2 = twinwalk.spectral._offdiag_norm, math.atan2
         monkeypatch.setattr(twinwalk.spectral, "_offdiag_norm",
-                            lambda A: calls.append(None) or norm(A))
+                            lambda A: sweeps.append(None) or norm(A))
+        monkeypatch.setattr(twinwalk.spectral.math, "atan2",
+                            lambda y, x: rotations.append(None) or atan2(y, x))
         fi = k4n_remove_matching(24, [(2 * i, 2 * i + 1) for i in range(12)])
         s = eigendecompose(laplacian(fi.graph))
         assert np.allclose(s.values, [0.0, 22.0, 24.0], rtol=0.0, atol=1e-12)
-        assert len(calls) - 1 <= 6
+        assert len(sweeps) - 1 <= 6
+        assert 0 < len(rotations) <= 900
 
     @settings(max_examples=40, deadline=None)
     @given(laplacians())
