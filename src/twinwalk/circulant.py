@@ -23,19 +23,23 @@ class CirculantSpec:
     S: frozenset[int]
 
     def __post_init__(self) -> None:
-        if _check_int(self.n, "modulus") < 2:
-            raise InputError(f"modulus must be at least 2, got {_shown(self.n)}")
-        try:
-            residues = iter(self.S)
-        except TypeError as exc:  # not iterable
-            raise InputError(f"connection set must be iterable: {exc}") from exc
-        n = int(self.n)  # Python integers: numpy ones cannot reduce past int64
-        reduced = frozenset(int(_check_int(s, "residue")) % n for s in residues)
-        object.__setattr__(self, "S", reduced)
-        if 0 in reduced:
+        object.__setattr__(self, "S", _residues(self.n, self.S))
+        if 0 in self.S:
             raise InputError("connection set contains 0")
-        if frozenset((-s) % self.n for s in reduced) != reduced:
+        if frozenset((-s) % self.n for s in self.S) != self.S:
             raise InputError("connection set not closed under negation")
+
+
+def _residues(n: int, S) -> frozenset[int]:
+    """The integers S as a frozenset of residues mod n >= 2; else InputError."""
+    if _check_int(n, "modulus") < 2:
+        raise InputError(f"modulus must be at least 2, got {_shown(n)}")
+    try:
+        residues = iter(S)
+    except TypeError as exc:  # not iterable
+        raise InputError(f"connection set must be iterable: {exc}") from exc
+    n = int(n)  # Python integers: numpy ones cannot reduce past int64
+    return frozenset(int(_check_int(s, "residue")) % n for s in residues)
 
 
 def _gcd_class_members(n: int, d: int):
@@ -52,11 +56,10 @@ def gcd_class(n: int, d: int) -> frozenset[int]:
 
 
 def is_gcd_set(n: int, S: set[int] | frozenset[int]) -> bool:
-    """True iff the residues S of Z_n are a union of complete gcd classes:
-    every class that S meets lies inside S. Stops at the first member of a
-    met class that S lacks."""
-    _check_int(n, "modulus")
-    S = frozenset(_check_int(s, "residue") for s in S)
+    """True iff the residues S of Z_n, read mod n as CirculantSpec reads
+    them, are a union of complete gcd classes: every class that S meets lies
+    inside S. Stops at the first member of a met class that S lacks."""
+    S = _residues(n, S)
     return all(x in S for d in {gcd(s, n) for s in S} for x in _gcd_class_members(n, d))
 
 

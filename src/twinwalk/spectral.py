@@ -3,13 +3,13 @@ and a series-based matrix exponential used as an independent oracle.
 
 The eigensolver is threshold cyclic Jacobi: robust at the small dimensions
 this library targets (n <= 64) and guaranteed to produce orthogonal
-eigenvectors on symmetric input. It skips a rotation whose entry is below
-both threshold / n, so the stopping rule stays reachable, and eps ||L||_F,
-so the rotation would only move rounding noise. A read-only Spectrum keeps
-the sorted eigenbasis and merges eigenvalues closer than a clustering
-tolerance into one distinct value; transfer coefficients and propagators are
-derived from the basis here, so degenerate eigenspaces only enter through
-sums over their clusters. Every propagator entry U(t)[b, a] a verdict reads
+eigenvectors on symmetric input. It rotates every entry above eps ||L||_F,
+below which a rotation would only move rounding noise, and stops after the
+first sweep that rotates nothing. A read-only Spectrum keeps the sorted
+eigenbasis and merges eigenvalues closer than a clustering tolerance into one
+distinct value; transfer coefficients and propagators are derived from the
+basis here, so degenerate eigenspaces only enter through sums over their
+clusters. Every propagator entry U(t)[b, a] a verdict reads
 is a sum over the transfer coefficients of (a, b), which also check that
 both vertices are in range.
 """
@@ -27,10 +27,11 @@ from .graphs import _as_array, _check_real, _check_vertex
 DEFAULT_CLUSTER_TOL = 1e-8
 DEFAULT_INT_TOL = 1e-6
 
-_JACOBI_OFFDIAG_FACTOR = 1e-13
 _JACOBI_MAX_SWEEPS = 100
 
 _PHASE_LIMIT = np.pi / np.finfo(float).eps  # one rounding of a larger mu t can exceed pi
+_TIME_RULE = ("t must be finite, and every phase mu t at most "
+              f"pi/eps = {_PHASE_LIMIT:.3g} in magnitude")
 
 _ORACLE_TAYLOR_DEGREE = 18
 _ORACLE_TARGET_NORM = 0.5
@@ -65,7 +66,7 @@ class Spectrum:
 
     def unitary(self, t: float) -> np.ndarray:
         """exp(-i t L) = V diag(exp(-i mu t)) V^T."""
-        phases = np.repeat(_phases(self.values, t),
+        phases = np.repeat(_phases(self.values, _one_time(t)),
                            np.diff(self.starts, append=self.n))
         return (self.vectors * phases) @ self.vectors.T
 
@@ -78,8 +79,14 @@ def _phases(values: np.ndarray, times) -> np.ndarray:
             angles = np.multiply.outer(times, values)
         if (np.abs(angles) <= _PHASE_LIMIT).all():
             return np.exp(-1j * angles)
-    raise InputError("t must be finite, and every phase mu t at most "
-                     f"pi/eps = {_PHASE_LIMIT:.3g} in magnitude")
+    raise InputError(_TIME_RULE)
+
+
+def _one_time(t):
+    """t if it is one time (ndim 0), else the InputError of _phases."""
+    if np.ndim(t):
+        raise InputError(_TIME_RULE)
+    return t
 
 
 def _real_matrix(M) -> np.ndarray:
@@ -91,32 +98,24 @@ def _real_matrix(M) -> np.ndarray:
     return M.astype(float, copy=False)
 
 
-def _offdiag_norm(A: np.ndarray) -> float:
-    off = A - np.diag(np.diag(A))
-    return float(np.sqrt((off * off).sum()))
-
-
 def _jacobi(L: np.ndarray, fro: float) -> tuple[np.ndarray, np.ndarray]:
-    """Threshold cyclic Jacobi on L with Frobenius norm fro. Returns
-    (eigenvalues, eigenvector columns). A rotation is skipped while |a_pq| <
-    min(threshold / n, eps fro): below the first in every entry, the
-    off-diagonal norm is below the threshold, so the stopping rule stays
-    reachable; below the second, a rotation would only move rounding noise,
-    tilting a basis vector by at most eps fro / gap."""
+    """Threshold cyclic Jacobi on L with Frobenius norm fro: (eigenvalues,
+    eigenvector columns) after the first sweep that rotates nothing. A sweep
+    rotates each entry with |a_pq| > eps fro (strict: a zero L rotates none);
+    a smaller one only moves rounding noise, tilting a vector by <= eps fro / gap."""
     A = np.array(L, dtype=float)
     n = A.shape[0]
     W = np.eye(n)  # V^T: a rotation turns two rows of A and two of W
-    threshold = _JACOBI_OFFDIAG_FACTOR * fro
-    skip = min(threshold / n, np.finfo(float).eps * fro)
-    if _offdiag_norm(A) <= threshold:
-        return np.diag(A).copy(), W.T
+    skip = np.finfo(float).eps * fro
     for _ in range(_JACOBI_MAX_SWEEPS):
+        rotated = False
         for p in range(n - 1):
             Ap, Wp = A[p], W[p]
             for q in range(p + 1, n):
                 apq = Ap[q]
-                if abs(apq) < skip:
+                if abs(apq) <= skip:
                     continue
+                rotated = True
                 Aq, Wq = A[q], W[q]
                 app, aqq = Ap[p], Aq[q]
                 # atan2, not the inner rotation (|theta| <= pi/4), sorts the pair:
@@ -129,12 +128,9 @@ def _jacobi(L: np.ndarray, fro: float) -> tuple[np.ndarray, np.ndarray]:
                 A[:, p], A[:, q] = Ap, Aq  # mirrored: A stays exactly symmetric
                 d = s * s * (aqq - app) - 2.0 * c * s * apq  # 2 x 2 closed form
                 Ap[p], Aq[q], Ap[q], Aq[p] = app + d, aqq - d, 0.0, 0.0
-        if _offdiag_norm(A) <= threshold:
+        if not rotated:
             return np.diag(A).copy(), W.T
-    raise ConvergenceFailureError(
-        f"off-diagonal norm {_offdiag_norm(A):.3e} above {threshold:.3e} "
-        f"after {_JACOBI_MAX_SWEEPS} sweeps"
-    )
+    raise ConvergenceFailureError(f"Jacobi did not converge after {_JACOBI_MAX_SWEEPS} sweeps")
 
 
 def eigendecompose(L: np.ndarray) -> Spectrum:

@@ -34,7 +34,7 @@ import numpy as np
 from .errors import InputError
 from .graphs import (WeightedGraph, _check_distinct, _check_int, _check_real,
                      _check_vertex, laplacian)
-from .spectral import Spectrum, _phases, _real_matrix, eigendecompose
+from .spectral import Spectrum, _one_time, _phases, _real_matrix, eigendecompose
 
 DEFAULT_LPST_TOL = 1e-9
 DEFAULT_QMAX = 1_000_000
@@ -148,7 +148,7 @@ def _solve(G: WeightedGraph, a: int, b: int, tol: float = DEFAULT_LPST_TOL) -> S
 
 def _verdict(s: Spectrum, a: int, b: int, t: float, tol: float) -> TransferReport:
     """LPST (a != b) or PERIODIC (a == b) at fidelity >= 1 - tol, else NONE."""
-    mag, phase = _polar(transfer_amplitudes(s, a, b, np.array([t]))[0])
+    mag, phase = _polar(transfer_amplitudes(s, a, b, np.array([_one_time(t)]))[0])
     hit = TransferKind.LPST if a != b else TransferKind.PERIODIC
     kind = hit if mag >= 1.0 - tol else TransferKind.NONE
     return TransferReport(kind, a, b, t, mag, phase, tol)

@@ -82,6 +82,14 @@ class TestGcdMachinery:
         assert is_gcd_set(8, {4})
         assert is_gcd_set(8, set())
 
+    def test_is_gcd_set_reads_residues_as_the_spec_does(self):
+        # 9, 11, 13 and 15 are 1, 3, 5 and 7 mod 8, the gcd class S_8(1)
+        S = [9, 11, 13, 15]
+        assert CirculantSpec(8, S).S == {1, 3, 5, 7}
+        assert is_gcd_set(8, S) and is_gcd_set(8, iter(S))
+        assert is_gcd_set(8, [np.int64(-7), 3, 5, 7])
+        assert not is_gcd_set(8, {9})
+
     @pytest.mark.parametrize("n", [10**6, 2**20])
     def test_is_gcd_set_stops_at_first_missing_member(self, monkeypatch, n):
         calls = 0
@@ -106,8 +114,12 @@ class TestGcdMachinery:
 
         # Built as is_gcd_set builds it: the order of the gcds decides whether a
         # residue = 0 mod n raises before a missing class member returns False.
-        T = frozenset(s for s in S)
-        subsets = lambda: all(gcd_class(n, d) <= T for d in {gcd(s, n) for s in T})
+        def subsets():
+            if n < 2:
+                raise InputError(f"modulus must be at least 2, got {n}")
+            T = frozenset(s % n for s in S)
+            return all(gcd_class(n, d) <= T for d in {gcd(s, n) for s in T})
+
         assert outcome(lambda: is_gcd_set(n, S)) == outcome(subsets)
 
 

@@ -194,6 +194,23 @@ REJECTED = [
     ("amplitudes_complex_t", lambda: transfer_amplitudes(c4_spectrum(), 0, 2, [1.0, 1j]),
      "t must be finite"),
     ("lpst_str_t", lambda: check_lpst(c4(), 0, 2, "1"), "t must be finite"),
+    # a verdict or a propagator takes one time, spectral._one_time owns that
+    # rule; each row below raised a builtin TypeError or ValueError, or
+    # (propagator_list_t) returned a matrix
+    ("lpst_array_t", lambda: check_lpst(c4(), 0, 2, np.array([math.pi / 2])),
+     "t must be finite"),
+    ("lpst_list_t", lambda: check_lpst(c4(), 0, 2, [1.0]), "t must be finite"),
+    ("periodic_array_t", lambda: check_periodic(c4(), 0, np.array([1.0, 2.0])),
+     "t must be finite"),
+    ("family_array_t", lambda: verify_family(FamilyInstance(
+        c4(), (ExpectedWitness(0, 2, np.array([math.pi / 2])),), "c4")),
+     "t must be finite"),
+    ("propagator_array_t", lambda: propagator(c4_spectrum(), np.array([1.0, 2.0])),
+     "t must be finite"),
+    ("propagator_list_t", lambda: propagator(c4_spectrum(), [1.0]), "t must be finite"),
+    ("perturbed_array_t", lambda: perturbed_propagator(
+        c4_spectrum(), np.array([1.0, 2.0]), rank_one_matrix(4, 0, 2), 1.0),
+     "t must be finite"),
     ("edge_alpha_bool", lambda: perturb_edge(c4(), 0, 1, True),
      "perturbation alpha must be finite"),
     ("edge_alpha_str", lambda: perturb_edge(c4(), 0, 1, "1"),
@@ -289,6 +306,9 @@ REJECTED = [
     ("pgst_float_epsilons", lambda: pgst_scan(c4(), 0, 2, 10, 0.5),
      "epsilons must be an iterable of numbers"),
     ("circulant_int_set", lambda: CirculantSpec(8, 3), "connection set must be iterable"),
+    # is_gcd_set reads its residues as CirculantSpec does
+    ("gcd_set_int", lambda: is_gcd_set(8, 5), "connection set must be iterable"),
+    ("gcd_set_modulus", lambda: is_gcd_set(0, {1}), "modulus must be at least 2, got 0"),
     ("build_graph_pair_edge", lambda: build_graph(3, [(0, 1)]),
      r"edges must be \(u, v, w\) triples"),
     # a vertex out of range is an InputError too (and still an IndexError)
@@ -327,6 +347,20 @@ def test_distinct_vertices_have_one_owner(site):
                 for node in ast.walk(tree) if isinstance(node, ast.Compare)]
     assert calls.count("_check_distinct") == 1
     assert {"a", "b"} not in operands
+
+
+@pytest.mark.parametrize("t", [np.float64(math.pi / 2), np.array(math.pi / 2)],
+                         ids=["float64", "0-d"])
+def test_one_time_may_be_a_numpy_scalar(t):
+    """A numpy scalar or a 0-d array is one time, with the results of the
+    equal float."""
+    x = math.pi / 2
+    assert check_lpst(c4(), 0, 2, t) == check_lpst(c4(), 0, 2, x)
+    assert check_periodic(c4(), 0, t) == check_periodic(c4(), 0, x)
+    assert np.array_equal(propagator(c4_spectrum(), t), propagator(c4_spectrum(), x))
+    M = rank_one_matrix(4, 0, 2)
+    assert np.array_equal(perturbed_propagator(c4_spectrum(), t, M, 1.0),
+                          perturbed_propagator(c4_spectrum(), x, M, 1.0))
 
 
 @pytest.mark.parametrize("value", [np.float32(0.25), np.int64(3), Fraction(1, 4)],
