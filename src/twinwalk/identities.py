@@ -31,7 +31,10 @@ def random_twin_graph(
 
     Vertices a < b are made twins by copying a's weights onto b for every
     shared neighbor; the (a, b) edge itself is present half the time.
+    InputError unless n_max is an integer of at least 4.
     """
+    if _check_int(n_max, "n_max") < 4:
+        raise InputError(f"n_max must be at least 4, got {_shown(n_max)}")
     n = int(rng.integers(4, n_max + 1))
     A = np.zeros((n, n))
     for u in range(n):

@@ -72,9 +72,9 @@ class Spectrum:
 
 
 def _phases(values: np.ndarray, times) -> np.ndarray:
-    """exp(-i mu t) for every time t (rows) and eigenvalue mu (columns);
-    InputError unless t has a real dtype (int, uint, float) and |mu t| <= pi/eps."""
-    if np.asarray(times).dtype.kind in "iuf":  # not bool, complex, str or object
+    """exp(-i mu t) for every time t (rows) and eigenvalue mu (columns); InputError
+    unless t has a real dtype (int, uint, float; not ragged) and |mu t| <= pi/eps."""
+    if (times := _as_array(times)).dtype.kind in "iuf":  # not bool, complex, str, object
         with np.errstate(over="ignore", invalid="ignore"):
             angles = np.multiply.outer(times, values)
         if (np.abs(angles) <= _PHASE_LIMIT).all():
@@ -82,9 +82,10 @@ def _phases(values: np.ndarray, times) -> np.ndarray:
     raise InputError(_TIME_RULE)
 
 
-def _one_time(t):
-    """t if it is one time (ndim 0), else the InputError of _phases."""
-    if np.ndim(t):
+def _one_time(t) -> np.ndarray:
+    """t read by _as_array, which makes a ragged list one object; InputError unless 0-d."""
+    t = _as_array(t)
+    if t.ndim:
         raise InputError(_TIME_RULE)
     return t
 

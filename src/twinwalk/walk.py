@@ -19,8 +19,8 @@ swept by the exact factorization
     exp(-i mu (4(q0 + r) + 1) pi/2)
         = exp(-i mu (4 q0 + 1) pi/2) exp(-2 pi i mu r),
 
-so a table of exp(-2 pi i mu_j r) for r < 1024, built once per scan, turns
-each block of 1024 times into one exponential per cluster and a row of a
+so a table of exp(-2 pi i mu_j r) for r < 1024, built once per scan by _phases,
+turns each block of 1024 times into one exponential per cluster and a row of a
 small matrix product; a scan holds 8 such blocks at a time, whatever q_max.
 """
 
@@ -41,7 +41,6 @@ DEFAULT_QMAX = 1_000_000
 DEFAULT_EPSILONS = (1e-1, 1e-2, 1e-3)
 
 _SCAN_GRID = 20_000
-_BISECT_STEPS = 64
 _PHASE_FLOOR = 1e-15
 _RECORD_STEP = 1e-6
 _PHASE_TABLE_ROWS = 1024
@@ -177,8 +176,8 @@ def pst_time_scan(
     tol: float = DEFAULT_LPST_TOL,
 ) -> TransferReport:
     """Best transfer a -> b over (0, t_max]: grid sweep, then bisection of
-    the best grid point's bracket on the sign of d|f|^2/dt, where f(t) =
-    U(t)[b, a] = sum_j c_j exp(-i mu_j t) and
+    the best grid point's bracket, down to adjacent floats, on the sign of
+    d|f|^2/dt, where f(t) = U(t)[b, a] = sum_j c_j exp(-i mu_j t) and
 
         d|f|^2/dt = 2 Im(conj(f) sum_j mu_j c_j exp(-i mu_j t)).
 
@@ -201,14 +200,13 @@ def pst_time_scan(
     hi = min(times[k] + step, t_max)
     c = s.coefficients(a, b)
     mu_c = s.values * c
-    for _ in range(_BISECT_STEPS):
-        mid = 0.5 * (lo + hi)
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
         phases = _phases(s.values, mid)
         if (np.conj(phases @ c) * (phases @ mu_c)).imag > 0:
             lo = mid
         else:
             hi = mid
-    refined = _verdict(s, a, b, float(0.5 * (lo + hi)), tol)
+    refined = _verdict(s, a, b, float(mid), tol)
     if refined.fidelity > mags[k]:
         return refined
     return _verdict(s, a, b, float(times[k]), tol)
@@ -252,7 +250,7 @@ def pgst_scan(
     s = _solve(G, a, b)
     c = s.coefficients(a, b)
     rows = min(_PHASE_TABLE_ROWS, q_max + 1)
-    table = np.exp(-2j * np.pi * np.outer(np.arange(rows), s.values))
+    table = _phases(s.values, 2.0 * np.pi * np.arange(rows))
     times: list[float] = []
     fids: list[float] = []
     ladder: list[EpsilonHit] = []

@@ -51,7 +51,7 @@ from twinwalk.errors import (
     WitnessFailedError,
 )
 from twinwalk.families import FamilyInstance
-from twinwalk.identities import run_identity_checks
+from twinwalk.identities import random_twin_graph, run_identity_checks
 from twinwalk.jsonio import family_from_obj, load_json
 from conftest import cycle_graph
 from test_cli import C4, write
@@ -77,6 +77,9 @@ def load_text(text):
 
 def c4_spectrum():
     return eigendecompose(laplacian(c4()))
+
+
+RAGGED = [1.0, [2.0]]  # numpy gives these times no shape
 
 
 def arr(*vertices):
@@ -175,6 +178,11 @@ REJECTED = [
      "seed must be an integer, got 1.5"),
     ("float_trials", lambda: run_identity_checks(None, 1, 2.5),
      "trials must be an integer, got 2.5"),
+    # n_max=3 raised numpy's builtin ValueError ("low >= high"), 5.5 was accepted
+    ("random_twin_n_max", lambda: random_twin_graph(np.random.default_rng(0), 3),
+     "n_max must be at least 4, got 3"),
+    ("random_twin_float_n_max", lambda: random_twin_graph(np.random.default_rng(0), 5.5),
+     "n_max must be an integer, got 5.5"),
     ("rank_one_float", lambda: rank_one_matrix(4.0, 0, 1),
      "vertex count must be an integer, got 4.0"),
     # raw matrices: not square, or asymmetric (each spectrum came back wrong)
@@ -211,6 +219,15 @@ REJECTED = [
     ("perturbed_array_t", lambda: perturbed_propagator(
         c4_spectrum(), np.array([1.0, 2.0]), rank_one_matrix(4, 0, 2), 1.0),
      "t must be finite"),
+    # a ragged list of times, read by graphs._as_array as one object: each
+    # row below raised numpy's builtin ValueError ("inhomogeneous shape")
+    ("lpst_ragged_t", lambda: check_lpst(c4(), 0, 2, RAGGED), "t must be finite"),
+    ("periodic_ragged_t", lambda: check_periodic(c4(), 0, RAGGED), "t must be finite"),
+    ("amplitudes_ragged_t", lambda: transfer_amplitudes(c4_spectrum(), 0, 2, RAGGED),
+     "t must be finite"),
+    ("propagator_ragged_t", lambda: propagator(c4_spectrum(), RAGGED), "t must be finite"),
+    ("perturbed_ragged_t", lambda: perturbed_propagator(
+        c4_spectrum(), RAGGED, rank_one_matrix(4, 0, 2), 1.0), "t must be finite"),
     ("edge_alpha_bool", lambda: perturb_edge(c4(), 0, 1, True),
      "perturbation alpha must be finite"),
     ("edge_alpha_str", lambda: perturb_edge(c4(), 0, 1, "1"),

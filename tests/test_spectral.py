@@ -227,11 +227,10 @@ def _owners(accept) -> list[str]:
 
 def test_only_phases_exponentiates():
     """Phases exp(-i mu t) come only from spectral._phases, which bounds
-    every mu t; the one other exp is pgst_scan's table of exp(-2 pi i mu r)
-    for r < 1024. A second phase computation fails here."""
+    every mu t. A second phase computation fails here."""
     exp = _owners(lambda n: isinstance(n, ast.Call)
                   and ast.unparse(n.func).split(".")[-1] == "exp")
-    assert sorted(exp) == ["spectral._phases", "walk.pgst_scan"]
+    assert exp == ["spectral._phases"]
 
 
 def test_only_check_vertex_raises_out_of_range():
