@@ -23,6 +23,7 @@ class CirculantSpec:
     S: frozenset[int]
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "n", _check_int(self.n, "modulus"))
         object.__setattr__(self, "S", _residues(self.n, self.S))
         if 0 in self.S:
             raise InputError("connection set contains 0")
@@ -32,20 +33,19 @@ class CirculantSpec:
 
 def _residues(n: int, S) -> frozenset[int]:
     """The integers S as a frozenset of residues mod n >= 2; else InputError."""
-    if _check_int(n, "modulus") < 2:
+    if (n := _check_int(n, "modulus")) < 2:
         raise InputError(f"modulus must be at least 2, got {_shown(n)}")
     try:
         residues = iter(S)
     except TypeError as exc:  # not iterable
         raise InputError(f"connection set must be iterable: {exc}") from exc
-    n = int(n)  # Python integers: numpy ones cannot reduce past int64
-    return frozenset(int(_check_int(s, "residue")) % n for s in residues)
+    return frozenset(_check_int(s, "residue") % n for s in residues)
 
 
 def _gcd_class_members(n: int, d: int):
     """A generator over S_n(d); InputError at call time unless d is a proper divisor."""
-    _check_int(n, "modulus")
-    if not 1 <= _check_int(d, "divisor") < n or n % d:
+    n, d = _check_int(n, "modulus"), _check_int(d, "divisor")
+    if not 1 <= d < n or n % d:
         raise InputError(f"{_shown(d)} is not a proper divisor of {_shown(n)}")
     return (x for x in range(d, n, d) if gcd(x, n) == d)
 

@@ -82,9 +82,10 @@ def _check_disjoint(pairs) -> list[tuple[int, int]]:
         pairs = [(a, b) for a, b in pairs]
     except (TypeError, ValueError) as exc:  # not iterable, or not two entries
         raise InputError(f"pairs must be (a, b) vertex pairs: {exc}") from exc
+    pairs = [(_check_int(a, "vertex"), _check_int(b, "vertex")) for a, b in pairs]
     seen: set[int] = set()
     for a, b in pairs:
-        if {_check_int(a, "vertex"), _check_int(b, "vertex")} & seen or a == b:
+        if {a, b} & seen or a == b:
             raise InputError(f"pair ({_shown(a)},{_shown(b)}) reuses a vertex")
         seen.update((a, b))
     return pairs
@@ -202,7 +203,7 @@ def verify_family(
     confirm; otherwise returns one report per witness.
     """
     _check_real(tol, 0.0, 1.0, "tol must lie in (0, 1)")
-    if _check_int(q_max, "q_max") < 1:
+    if (q_max := _check_int(q_max, "q_max")) < 1:
         raise InputError("q_max must be at least 1")
     for w in fi.expected_witnesses:
         _check_vertex(fi.graph.n, w.a, w.b)

@@ -16,16 +16,18 @@ import numpy as np
 from .errors import IndexOutOfRangeError, InputError
 
 
-def _check_int(value, what: str):
-    """value if it is a Python or numpy integer (not a bool); else InputError."""
+def _check_int(value, what: str) -> int:
+    """int(value) for a Python or numpy integer (not a bool); else InputError."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise InputError(f"{what} must be an integer, got {value!r}")
-    return value
+    return int(value)
 
 
 def _check_real(value, lo: float, hi: float, message) -> float:
-    """float(value) for a real number (not a bool) that a float can hold, strictly
-    between lo and hi; else InputError(message), or message() if it is a function."""
+    """float(value) for a real number (not a bool), bare or in a 0-d array, that a
+    float can hold, strictly between lo and hi; else InputError(message), or
+    message() if it is a function."""
+    value = value[()] if isinstance(value, np.ndarray) else value  # a 0-d array: its scalar
     try:  # float first: it spares most calls the slower numbers.Real check
         if (isinstance(value, (float, numbers.Real)) and type(value) is not bool
                 and lo < (x := float(value)) < hi):

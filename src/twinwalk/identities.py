@@ -15,6 +15,7 @@ from .graphs import (
     WeightedGraph,
     _check_int,
     _shown,
+    _zero_weights,
     laplacian,
     list_twin_pairs,
     perturb_edge,
@@ -31,12 +32,12 @@ def random_twin_graph(
 
     Vertices a < b are made twins by copying a's weights onto b for every
     shared neighbor; the (a, b) edge itself is present half the time.
-    InputError unless n_max is an integer of at least 4.
+    InputError unless n_max is an integer >= 4 and numpy holds the drawn n x n weights.
     """
-    if _check_int(n_max, "n_max") < 4:
+    if (n_max := _check_int(n_max, "n_max")) < 4:
         raise InputError(f"n_max must be at least 4, got {_shown(n_max)}")
-    n = int(rng.integers(4, n_max + 1))
-    A = np.zeros((n, n))
+    n = int(rng.integers(4, min(n_max + 1, 2**63)))  # numpy draws below 2**63
+    A = _zero_weights(n)
     for u in range(n):
         for v in range(u + 1, n):
             if rng.random() < 0.5:

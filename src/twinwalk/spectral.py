@@ -9,9 +9,10 @@ first sweep that rotates nothing. A read-only Spectrum keeps the sorted
 eigenbasis and merges eigenvalues closer than a clustering tolerance into one
 distinct value; transfer coefficients and propagators are derived from the
 basis here, so degenerate eigenspaces only enter through sums over their
-clusters. Every propagator entry U(t)[b, a] a verdict reads
-is a sum over the transfer coefficients of (a, b), which also check that
-both vertices are in range.
+clusters. Every propagator entry U(t)[b, a] a verdict reads is a sum over
+the transfer coefficients of (a, b), which also check that both vertices
+are in range. One time t is read by graphs._check_real (message _TIME_RULE),
+an array of times by _phases, which bounds every phase mu t.
 """
 
 from __future__ import annotations
@@ -66,28 +67,21 @@ class Spectrum:
 
     def unitary(self, t: float) -> np.ndarray:
         """exp(-i t L) = V diag(exp(-i mu t)) V^T."""
-        phases = np.repeat(_phases(self.values, _one_time(t)),
-                           np.diff(self.starts, append=self.n))
+        t = _check_real(t, -np.inf, np.inf, _TIME_RULE)
+        phases = np.repeat(_phases(self.values, t), np.diff(self.starts, append=self.n))
         return (self.vectors * phases) @ self.vectors.T
 
 
 def _phases(values: np.ndarray, times) -> np.ndarray:
     """exp(-i mu t) for every time t (rows) and eigenvalue mu (columns); InputError
-    unless t has a real dtype (int, uint, float; not ragged) and |mu t| <= pi/eps."""
+    unless the times have a real dtype (int, uint, float; not ragged) and every
+    |mu t| <= pi/eps: the one rule for an array of times."""
     if (times := _as_array(times)).dtype.kind in "iuf":  # not bool, complex, str, object
         with np.errstate(over="ignore", invalid="ignore"):
             angles = np.multiply.outer(times, values)
         if (np.abs(angles) <= _PHASE_LIMIT).all():
             return np.exp(-1j * angles)
     raise InputError(_TIME_RULE)
-
-
-def _one_time(t) -> np.ndarray:
-    """t read by _as_array, which makes a ragged list one object; InputError unless 0-d."""
-    t = _as_array(t)
-    if t.ndim:
-        raise InputError(_TIME_RULE)
-    return t
 
 
 def _real_matrix(M) -> np.ndarray:

@@ -34,7 +34,7 @@ import numpy as np
 from .errors import InputError
 from .graphs import (WeightedGraph, _check_distinct, _check_int, _check_real,
                      _check_vertex, laplacian)
-from .spectral import Spectrum, _one_time, _phases, _real_matrix, eigendecompose
+from .spectral import _TIME_RULE, Spectrum, _phases, _real_matrix, eigendecompose
 
 DEFAULT_LPST_TOL = 1e-9
 DEFAULT_QMAX = 1_000_000
@@ -121,6 +121,7 @@ def perturbed_propagator(
     if M.shape != (s.n, s.n):
         raise InputError(f"M of shape {M.shape} is not {s.n} x {s.n}")
     alpha = _check_real(alpha, -np.inf, np.inf, "alpha must be finite")
+    t = _check_real(t, -np.inf, np.inf, _TIME_RULE)
     U = propagator(s, t)
     return U @ (np.eye(s.n) + 0.5 * (_phases(2.0 * alpha, t) - 1.0) * M)
 
@@ -147,7 +148,8 @@ def _solve(G: WeightedGraph, a: int, b: int, tol: float = DEFAULT_LPST_TOL) -> S
 
 def _verdict(s: Spectrum, a: int, b: int, t: float, tol: float) -> TransferReport:
     """LPST (a != b) or PERIODIC (a == b) at fidelity >= 1 - tol, else NONE."""
-    mag, phase = _polar(transfer_amplitudes(s, a, b, np.array([_one_time(t)]))[0])
+    t = _check_real(t, -np.inf, np.inf, _TIME_RULE)
+    mag, phase = _polar(transfer_amplitudes(s, a, b, np.array([t]))[0])
     hit = TransferKind.LPST if a != b else TransferKind.PERIODIC
     kind = hit if mag >= 1.0 - tol else TransferKind.NONE
     return TransferReport(kind, a, b, t, mag, phase, tol)
@@ -195,6 +197,8 @@ def pst_time_scan(
     # grid argmax and with it the bracket that the bisection refines.
     mags = np.abs(transfer_amplitudes(s, a, b, times))
     k = int(np.argmax(mags))
+    if mags[k] < _PHASE_FLOOR:  # no transfer to refine: the slope's sign is noise
+        return _verdict(s, a, b, times[k], tol)
     step = t_max / _SCAN_GRID
     lo = max(times[k] - step, 0.0)
     hi = min(times[k] + step, t_max)
@@ -206,10 +210,10 @@ def pst_time_scan(
             lo = mid
         else:
             hi = mid
-    refined = _verdict(s, a, b, float(mid), tol)
+    refined = _verdict(s, a, b, mid, tol)
     if refined.fidelity > mags[k]:
         return refined
-    return _verdict(s, a, b, float(times[k]), tol)
+    return _verdict(s, a, b, times[k], tol)
 
 
 def pgst_scan(
@@ -239,13 +243,13 @@ def pgst_scan(
     Memory is about 8192 x 40 B for the step's times, amplitudes and
     magnitudes plus 1024 k x 16 B for the table, whatever q_max is.
     """
-    if _check_int(q_max, "q_max") < 1:
+    if (q_max := _check_int(q_max, "q_max")) < 1:
         raise InputError("q_max must be at least 1")
-    try:
-        pending, hi = list(epsilons), 1.0
+    try:  # the ladder keeps the values given, a 0-d array as its scalar
+        pending, hi = [e[()] if isinstance(e, np.ndarray) else e for e in epsilons], 1.0
     except TypeError as exc:  # not iterable
         raise InputError(f"epsilons must be an iterable of numbers: {exc}") from exc
-    for e in pending:  # each in (0, the one before); the ladder keeps the values given
+    for e in pending:  # each in (0, the one before)
         hi = _check_real(e, 0.0, hi, "epsilons must be strictly decreasing within (0, 1)")
     s = _solve(G, a, b)
     c = s.coefficients(a, b)

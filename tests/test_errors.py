@@ -7,6 +7,7 @@ import inspect
 import json
 import math
 import tempfile
+import textwrap
 from fractions import Fraction
 from pathlib import Path
 
@@ -183,6 +184,14 @@ REJECTED = [
      "n_max must be at least 4, got 3"),
     ("random_twin_float_n_max", lambda: random_twin_graph(np.random.default_rng(0), 5.5),
      "n_max must be an integer, got 5.5"),
+    # past int64 (numpy's builtin ValueError "high is out of bounds"), and a
+    # drawn vertex count numpy cannot allocate (its builtin ValueError)
+    ("random_twin_n_max_past_int64",
+     lambda: random_twin_graph(np.random.default_rng(0), 2**64),
+     r"vertex count \d+ is too large"),
+    ("random_twin_n_max_too_large",
+     lambda: random_twin_graph(np.random.default_rng(0), 2**62),
+     r"vertex count \d+ is too large"),
     ("rank_one_float", lambda: rank_one_matrix(4.0, 0, 1),
      "vertex count must be an integer, got 4.0"),
     # raw matrices: not square, or asymmetric (each spectrum came back wrong)
@@ -202,8 +211,8 @@ REJECTED = [
     ("amplitudes_complex_t", lambda: transfer_amplitudes(c4_spectrum(), 0, 2, [1.0, 1j]),
      "t must be finite"),
     ("lpst_str_t", lambda: check_lpst(c4(), 0, 2, "1"), "t must be finite"),
-    # a verdict or a propagator takes one time, spectral._one_time owns that
-    # rule; each row below raised a builtin TypeError or ValueError, or
+    # a verdict or a propagator takes one time, read by graphs._check_real;
+    # each row below raised a builtin TypeError or ValueError, or
     # (propagator_list_t) returned a matrix
     ("lpst_array_t", lambda: check_lpst(c4(), 0, 2, np.array([math.pi / 2])),
      "t must be finite"),
@@ -219,8 +228,9 @@ REJECTED = [
     ("perturbed_array_t", lambda: perturbed_propagator(
         c4_spectrum(), np.array([1.0, 2.0]), rank_one_matrix(4, 0, 2), 1.0),
      "t must be finite"),
-    # a ragged list of times, read by graphs._as_array as one object: each
-    # row below raised numpy's builtin ValueError ("inhomogeneous shape")
+    # a ragged list of times, one object to graphs._as_array and no real
+    # number to graphs._check_real: each row below raised numpy's builtin
+    # ValueError ("inhomogeneous shape")
     ("lpst_ragged_t", lambda: check_lpst(c4(), 0, 2, RAGGED), "t must be finite"),
     ("periodic_ragged_t", lambda: check_periodic(c4(), 0, RAGGED), "t must be finite"),
     ("amplitudes_ragged_t", lambda: transfer_amplitudes(c4_spectrum(), 0, 2, RAGGED),
@@ -366,6 +376,29 @@ def test_distinct_vertices_have_one_owner(site):
     assert {"a", "b"} not in operands
 
 
+@pytest.mark.parametrize("site", [spectral.Spectrum.unitary, walk._verdict,
+                                  walk.perturbed_propagator, spectral.matrix_exp_oracle],
+                         ids=lambda site: site.__qualname__)
+def test_single_time_has_one_reader(site):
+    """Each site reads its one time first as t = _check_real(t, ...), so no
+    later line sees anything but a float; spectral keeps no second reader."""
+    assert not hasattr(spectral, "_one_time")
+    body = ast.parse(textwrap.dedent(inspect.getsource(site))).body[0].body
+    first = next(stmt for stmt in body if any(
+        isinstance(node, ast.Name) and node.id == "t" for node in ast.walk(stmt)))
+    assert ast.unparse(first).startswith("t = _check_real(t, ")
+
+
+def test_checked_integers_are_not_converted_again():
+    """graphs._check_int returns an int, so no module wraps it in int()."""
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Call) and ast.unparse(node.func) == "int":
+                assert not any(isinstance(arg, ast.Call)
+                               and ast.unparse(arg.func) == "_check_int"
+                               for arg in node.args), f"{path.name}:{node.lineno}"
+
+
 @pytest.mark.parametrize("t", [np.float64(math.pi / 2), np.array(math.pi / 2)],
                          ids=["float64", "0-d"])
 def test_one_time_may_be_a_numpy_scalar(t):
@@ -380,11 +413,13 @@ def test_one_time_may_be_a_numpy_scalar(t):
                           perturbed_propagator(c4_spectrum(), x, M, 1.0))
 
 
-@pytest.mark.parametrize("value", [np.float32(0.25), np.int64(3), Fraction(1, 4)],
-                         ids=["float32", "int64", "fraction"])
+@pytest.mark.parametrize("value",
+                         [np.float32(0.25), np.int64(3), Fraction(1, 4), np.array(0.25)],
+                         ids=["float32", "int64", "fraction", "0-d"])
 def test_numpy_and_rational_reals_are_accepted(value):
-    """A real-valued argument may be any real number type, with the results
-    of the equal float; tol and epsilons lie in (0, 1), where no integer is."""
+    """A real-valued argument, a time included, may be any real number type
+    or a 0-d array of one, with the results of the equal float; tol and
+    epsilons lie in (0, 1), where no integer is."""
     x = float(value)
     M = rank_one_matrix(4, 0, 2)
     assert build_graph(4, [(0, 1, value)]) == build_graph(4, [(0, 1, x)])
@@ -392,12 +427,60 @@ def test_numpy_and_rational_reals_are_accepted(value):
     assert np.array_equal(perturbed_propagator(c4_spectrum(), 1.0, M, value),
                           perturbed_propagator(c4_spectrum(), 1.0, M, x))
     assert pst_time_scan(c4(), 0, 2, value) == pst_time_scan(c4(), 0, 2, x)
+    # one time t
+    assert check_lpst(c4(), 0, 2, value) == check_lpst(c4(), 0, 2, x)
+    assert type(check_lpst(c4(), 0, 2, value).time) is float
+    assert check_periodic(c4(), 0, value) == check_periodic(c4(), 0, x)
+    assert np.array_equal(propagator(c4_spectrum(), value), propagator(c4_spectrum(), x))
+    assert np.array_equal(perturbed_propagator(c4_spectrum(), value, M, 1.0),
+                          perturbed_propagator(c4_spectrum(), x, M, 1.0))
+    assert np.array_equal(matrix_exp_oracle(laplacian(c4()), value),
+                          matrix_exp_oracle(laplacian(c4()), x))
     if x < 1:
         assert check_lpst(c4(), 0, 2, 1.0, tol=value) == check_lpst(c4(), 0, 2, 1.0, tol=x)
         assert (pgst_scan(c4(), 0, 2, q_max=10, epsilons=(value,))
                 == pgst_scan(c4(), 0, 2, q_max=10, epsilons=(x,)))
+        hit, = pgst_scan(c4(), 0, 2, q_max=10, epsilons=(value,)).epsilon_ladder
+        assert not isinstance(hit.epsilon, np.ndarray)  # a 0-d array keeps its scalar
+        hash(hit)
         fi = FamilyInstance(c4(), (ExpectedWitness(0, 2, math.pi / 2),), "c4")
         assert verify_family(fi, tol=value) == verify_family(fi, tol=x)
+
+
+def z16(n=16):
+    """The Z16 {1,7,9,15} circulant; with its (0, 8) edge it has a PGST witness."""
+    return CirculantSpec(n, frozenset({1, 7, 9, 15}))
+
+
+@pytest.mark.parametrize("q_max", [np.uint8(255), np.int8(127)], ids=["uint8", "int8"])
+def test_numpy_integer_q_max_is_read_as_an_int(q_max):
+    """q_max + 1 wrapped at the numpy width: the scan saw no time, and the
+    family's witness was reported not found."""
+    fi = circulant_twin_edge_family(z16(), [(0, 8)])
+    x = int(q_max)
+    assert pgst_scan(fi.graph, 0, 8, q_max) == pgst_scan(fi.graph, 0, 8, x)
+    assert verify_family(fi, q_max=q_max) == verify_family(fi, q_max=x)
+
+
+def test_numpy_modulus_is_read_as_an_int():
+    """CirculantSpec keeps n as an int: -s % np.uint8(16) raised a builtin
+    OverflowError. A pair's vertices are ints too: (0 - 8) % 16 in uint8
+    wrapped with an overflow warning."""
+    spec = z16(np.uint8(16))
+    assert spec == z16() and type(spec.n) is int
+    assert twin_condition(spec) == twin_condition(z16())
+    assert np.array_equal(laplacian_eigenvalues(spec), laplacian_eigenvalues(z16()))
+    assert (circulant_twin_edge_family(spec, [(0, 8)])
+            == circulant_twin_edge_family(z16(), [(0, 8)]))
+    fi = circulant_twin_edge_family(z16(), [(np.uint8(8), np.uint8(0))])
+    assert fi == circulant_twin_edge_family(z16(), [(8, 0)])
+    assert all(type(v) is int for w in fi.expected_witnesses for v in (w.a, w.b))
+
+
+def test_numpy_n_max_is_read_as_an_int():
+    """n_max + 1 wrapped to 0, and numpy refused the draw ("low >= high")."""
+    G, pair = random_twin_graph(np.random.default_rng(5), np.uint8(255))
+    assert (G, pair) == random_twin_graph(np.random.default_rng(5), 255)
 
 
 def _solve_refused(L):

@@ -303,6 +303,24 @@ class TestPstTimeScan:
         assert r.kind is TransferKind.NONE
         assert r.time == pytest.approx(PI / 20_000)
 
+    def test_zero_amplitude_skips_the_bisection(self, monkeypatch):
+        # Every grid amplitude is zero, so the slope's sign is noise, and a
+        # bisection would halve the first bracket toward 0 through the
+        # subnormals (about 1060 _phases calls); the grid and the verdict
+        # need two.
+        G = build_graph(4, [(0, 1, 1.0), (2, 3, 1.0)])
+        phases, seen = walk._phases, []
+
+        def spy(values, times):
+            seen.append(times)
+            return phases(values, times)
+
+        monkeypatch.setattr(walk, "_phases", spy)
+        r = pst_time_scan(G, 0, 2, 4 * PI)
+        assert len(seen) <= 3
+        assert (r.kind, r.time, r.fidelity, r.phase) == (
+            TransferKind.NONE, 4 * PI / 20_000, 0.0, 1.0)
+
     def test_quarter_weight_k3_finds_two_pi(self):
         G = complete(3)
         G = perturb_edge(G, 0, 2, -0.75)
