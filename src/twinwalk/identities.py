@@ -15,7 +15,6 @@ from .graphs import (
     WeightedGraph,
     _check_int,
     _shown,
-    _zero_weights,
     laplacian,
     list_twin_pairs,
     perturb_edge,
@@ -25,19 +24,14 @@ from .spectral import Spectrum, eigendecompose, matrix_exp_oracle
 from .walk import perturbed_propagator, propagator
 
 
-def random_twin_graph(
-    rng: np.random.Generator, n_max: int = 12
-) -> tuple[WeightedGraph, tuple[int, int]]:
-    """Random positive-weight graph with a planted twin pair.
+def random_twin_graph(rng: np.random.Generator) -> tuple[WeightedGraph, tuple[int, int]]:
+    """Random positive-weight graph on 4 to 12 vertices with a planted twin pair.
 
     Vertices a < b are made twins by copying a's weights onto b for every
     shared neighbor; the (a, b) edge itself is present half the time.
-    InputError unless n_max is an integer >= 4 and numpy holds the drawn n x n weights.
     """
-    if (n_max := _check_int(n_max, "n_max")) < 4:
-        raise InputError(f"n_max must be at least 4, got {_shown(n_max)}")
-    n = int(rng.integers(4, min(n_max + 1, 2**63)))  # numpy draws below 2**63
-    A = _zero_weights(n)
+    n = int(rng.integers(4, 13))
+    A = np.zeros((n, n))
     for u in range(n):
         for v in range(u + 1, n):
             if rng.random() < 0.5:

@@ -11,8 +11,9 @@ perturbed graph factors in closed form,
 
 where M is the rank-one matrix of the pair; this module evaluates that
 factorization (identities checks it against the series exponential).
-Searches cover a uniform time grid refined by bisection on the sign of
-d|U(t)[b, a]|^2/dt (perfect transfer) and the arithmetic progression
+Searches cover a uniform time grid with a step at most 1/(mu_max - mu_min),
+whose high local maxima are refined in time order by bisection on the sign of
+d|U(t)[b, a]|^2/dt (perfect transfer), and the arithmetic progression
 (4q+1) pi/2 (pretty good transfer / almost periodicity). The progression is
 swept by the exact factorization
 
@@ -40,7 +41,8 @@ DEFAULT_LPST_TOL = 1e-9
 DEFAULT_QMAX = 1_000_000
 DEFAULT_EPSILONS = (1e-1, 1e-2, 1e-3)
 
-_SCAN_GRID = 20_000
+_SCAN_GRID = 20_000  # least samples per pst scan, and samples per block
+_SCAN_CAP = 10**7  # most samples per pst scan
 _PHASE_FLOOR = 1e-15
 _RECORD_STEP = 1e-6
 _PHASE_TABLE_ROWS = 1024
@@ -177,43 +179,82 @@ def pst_time_scan(
     t_max: float,
     tol: float = DEFAULT_LPST_TOL,
 ) -> TransferReport:
-    """Best transfer a -> b over (0, t_max]: grid sweep, then bisection of
-    the best grid point's bracket, down to adjacent floats, on the sign of
-    d|f|^2/dt, where f(t) = U(t)[b, a] = sum_j c_j exp(-i mu_j t) and
+    """First transfer a -> b over (0, t_max] at fidelity >= 1 - tol, else the
+    best one found.
 
-        d|f|^2/dt = 2 Im(conj(f) sum_j mu_j c_j exp(-i mu_j t)).
+    f(t) = U(t)[b, a] = sum_j c_j exp(-i mu_j t) with sum_j |c_j| <= 1, so
+    near a perfect transfer t*, |f(t* + d)| >= 1 - d^2 B^2 / 8, where
+    B = mu_max - mu_min. The scan samples max(20000, ceil(t_max B)) evenly
+    spaced times, a step h <= 1/B, so a sample within h/2 of each perfect
+    transfer reaches 1 - h^2 B^2 / 32; InputError past 10**7 samples. In
+    time order, each grid local maximum at that level or above is refined
+    by bisection of its bracket, down to adjacent floats, on the sign of
 
-    Near a perfect transfer |f| rounds to 1 over a window about 1e-8 wide,
-    but the sign of its slope stays resolved there, so the reported time is
-    stable to rounding. The grid point is kept unless the refined time is
-    strictly better. Source and target must differ, as |U(t)[p, p]| -> 1 as
+        d|f|^2/dt = 2 Im(conj(f) sum_j mu_j c_j exp(-i mu_j t)),
+
+    and the scan stops at the first that passes tol; else it reports the
+    best of them, or the refined grid maximum when none reaches that level.
+    A grid point is kept unless its refined time is strictly better. Near a
+    perfect transfer |f| rounds to 1 over a window about 1e-8 wide, but the
+    sign of its slope stays resolved there, so the reported time is stable
+    to rounding. Source and target must differ, as |U(t)[p, p]| -> 1 as
     t -> 0; check_periodic and pgst_scan(G, p, p) test returns to p."""
     _check_distinct(a, b, "state transfer needs two distinct vertices")
     t_max = _check_real(t_max, 0.0, np.inf, "t_max must be positive and finite")
     s = _solve(G, a, b, tol)
-    times = np.linspace(0.0, t_max, _SCAN_GRID + 1)[1:]
-    # Not swept through a phase table as in pgst_scan: on a flat top, where
-    # |f| rounds to 1, the table's different rounding of mu_j t moves the
-    # grid argmax and with it the bracket that the bisection refines.
-    mags = np.abs(transfer_amplitudes(s, a, b, times))
-    k = int(np.argmax(mags))
-    if mags[k] < _PHASE_FLOOR:  # no transfer to refine: the slope's sign is noise
-        return _verdict(s, a, b, times[k], tol)
-    step = t_max / _SCAN_GRID
-    lo = max(times[k] - step, 0.0)
-    hi = min(times[k] + step, t_max)
+    _phases(s.values, t_max)  # the phase rule bounds t_max B below 2 pi/eps
+    spread = float(s.values[-1] - s.values[0])
+    if t_max * spread > _SCAN_CAP:
+        raise InputError(f"a pst scan to t_max = {t_max:.6g} needs {t_max * spread:.3g} "
+                         f"samples, past the cap of {_SCAN_CAP} samples")
+    count = max(_SCAN_GRID, int(np.ceil(t_max * spread)))
+    step = t_max / count
+    level = 1.0 - (step * spread) ** 2 / 32.0
     c = s.coefficients(a, b)
     mu_c = s.values * c
-    while lo < (mid := 0.5 * (lo + hi)) < hi:
-        phases = _phases(s.values, mid)
-        if (np.conj(phases @ c) * (phases @ mu_c)).imag > 0:
-            lo = mid
-        else:
-            hi = mid
-    refined = _verdict(s, a, b, mid, tol)
-    if refined.fidelity > mags[k]:
-        return refined
-    return _verdict(s, a, b, times[k], tol)
+
+    def refined(t: float, mag: float) -> TransferReport:
+        """The verdict where the slope changes sign in [t - step, t + step], or
+        at the grid point t of magnitude mag unless that is strictly better."""
+        lo, hi = max(t - step, 0.0), min(t + step, t_max)
+        while lo < (mid := 0.5 * (lo + hi)) < hi:
+            phases = _phases(s.values, mid)
+            if (np.conj(phases @ c) * (phases @ mu_c)).imag > 0:
+                lo = mid
+            else:
+                hi = mid
+        report = _verdict(s, a, b, mid, tol)
+        return report if report.fidelity > mag else _verdict(s, a, b, t, tol)
+
+    found, best, best_time = None, -1.0, t_max
+    tail = np.zeros((2, 1))  # time 0 and |f(0)| = 0, the left neighbour of the first sample
+    for i0 in range(1, count + 1, _SCAN_GRID):
+        i1 = min(i0 + _SCAN_GRID, count + 1)
+        times = np.arange(i0, i1) * step
+        if i1 > count:
+            times[-1] = t_max
+        # Not swept through a phase table as in pgst_scan: on a flat top, where
+        # |f| rounds to 1, the table's different rounding of mu_j t moves the
+        # grid maxima and with them the brackets that the bisection refines.
+        mags = np.abs(transfer_amplitudes(s, a, b, times))
+        if mags[k := int(np.argmax(mags))] > best:
+            best, best_time = float(mags[k]), float(times[k])
+        ts, ms = np.concatenate((tail, [times, mags]), axis=1)
+        ms = np.append(ms, -np.inf) if i1 > count else ms  # t_max has no right neighbour
+        top = np.flatnonzero((ms[1:-1] > ms[:-2]) & (ms[1:-1] >= ms[2:])
+                             & (ms[1:-1] >= level)) + 1
+        for t, mag in zip(ts[top].tolist(), ms[top].tolist()):
+            report = refined(t, mag)
+            if report.kind is not TransferKind.NONE:
+                return report
+            if found is None or report.fidelity > found.fidelity:
+                found = report
+        tail = np.stack((ts[-2:], ms[-2:]))  # the last sample is judged with the next block
+    if found is not None:
+        return found
+    if best < _PHASE_FLOOR:  # no transfer to refine: the slope's sign is noise
+        return _verdict(s, a, b, best_time, tol)
+    return refined(best_time, best)
 
 
 def pgst_scan(

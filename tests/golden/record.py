@@ -9,7 +9,10 @@ tests/test_errors.py's EXIT_TABLE, except `convergence`: that row makes the
 eigensolver give up by monkeypatching its sweep limit, which a case (argv
 and input documents) cannot express. Two more `family` cases verify
 families the schema examples do not: K16 minus a 4-edge matching, and
-quarter weights on a nested-graph base. Five `rejected` cases pin inputs
+quarter weights on a nested-graph base. One `scan` case pins a pst scan
+whose first transfer falls between 20 000 evenly spaced samples of
+(0, 4 pi]: K16 minus a 4-edge matching at weight 1000, perfect at
+pi/2000. Five `rejected` cases pin inputs
 the library rejects: a pgst scan whose phase table passes pi/eps, an
 integer past int()'s 4300-digit limit in a document and in a "K<n>" base
 name, a negative seed, and a q_max below 1 for a family with no PGST
@@ -65,6 +68,14 @@ REJECTED = [
      {"doc.json": {"family": "k4n_matching", "size": 8, "matching": [[0, 4]]}}),
 ]
 
+# K16 minus the matching {(0,1), (2,3), (4,5), (6,7)} at weight 1000
+K16_HEAVY = {"n": 16, "edges": [[u, v, 1000] for u in range(16) for v in range(u + 1, 16)
+                                if (u, v) not in {(0, 1), (2, 3), (4, 5), (6, 7)}]}
+SCANS = [
+    ("pst-heavy", ["scan", "--input", "graph.json", "--from", "0", "--to", "1",
+                   "--mode", "pst"], {"graph.json": K16_HEAVY}),
+]
+
 FAMILY_INPUTS = [
     ("k4n-16", {"family": "k4n_matching", "size": 16,
                 "matching": [[0, 1], [2, 3], [4, 5], [6, 7]]}),
@@ -88,6 +99,8 @@ def cases() -> list[tuple[str, str, list[str], dict]]:
     for name, doc in FAMILY_INPUTS:
         out.append((f"family-{name}", "family", ["family", "--input", "doc.json"],
                     {"doc.json": doc}))
+    for name, argv, inputs in SCANS:
+        out.append((f"scan-{name}", "scan", argv, inputs))
     for name, argv, inputs in REJECTED:
         out.append((f"rejected-{name}", "rejected", argv, inputs))
     return out

@@ -56,7 +56,7 @@ def test_criterion_1_factorization_identity():
         rng = np.random.default_rng(20240601)
         worst = 0.0
         for _ in range(30):
-            G, (a, b) = random_twin_graph(rng, n_max=12)
+            G, (a, b) = random_twin_graph(rng)
             L = laplacian(G)
             M = rank_one_matrix(G.n, a, b)
             s = eigendecompose(L)
@@ -82,7 +82,7 @@ def test_criterion_2_commutation():
         ]
         rng = np.random.default_rng(7)
         for _ in range(10):
-            G, _ = random_twin_graph(rng, n_max=10)
+            G, _ = random_twin_graph(rng)
             test_graphs.append(G)
         checked = 0
         for G in test_graphs:

@@ -52,7 +52,7 @@ from twinwalk.errors import (
     WitnessFailedError,
 )
 from twinwalk.families import FamilyInstance
-from twinwalk.identities import random_twin_graph, run_identity_checks
+from twinwalk.identities import run_identity_checks
 from twinwalk.jsonio import family_from_obj, load_json
 from conftest import cycle_graph
 from test_cli import C4, write
@@ -179,19 +179,6 @@ REJECTED = [
      "seed must be an integer, got 1.5"),
     ("float_trials", lambda: run_identity_checks(None, 1, 2.5),
      "trials must be an integer, got 2.5"),
-    # n_max=3 raised numpy's builtin ValueError ("low >= high"), 5.5 was accepted
-    ("random_twin_n_max", lambda: random_twin_graph(np.random.default_rng(0), 3),
-     "n_max must be at least 4, got 3"),
-    ("random_twin_float_n_max", lambda: random_twin_graph(np.random.default_rng(0), 5.5),
-     "n_max must be an integer, got 5.5"),
-    # past int64 (numpy's builtin ValueError "high is out of bounds"), and a
-    # drawn vertex count numpy cannot allocate (its builtin ValueError)
-    ("random_twin_n_max_past_int64",
-     lambda: random_twin_graph(np.random.default_rng(0), 2**64),
-     r"vertex count \d+ is too large"),
-    ("random_twin_n_max_too_large",
-     lambda: random_twin_graph(np.random.default_rng(0), 2**62),
-     r"vertex count \d+ is too large"),
     ("rank_one_float", lambda: rank_one_matrix(4.0, 0, 1),
      "vertex count must be an integer, got 4.0"),
     # raw matrices: not square, or asymmetric (each spectrum came back wrong)
@@ -475,12 +462,6 @@ def test_numpy_modulus_is_read_as_an_int():
     fi = circulant_twin_edge_family(z16(), [(np.uint8(8), np.uint8(0))])
     assert fi == circulant_twin_edge_family(z16(), [(8, 0)])
     assert all(type(v) is int for w in fi.expected_witnesses for v in (w.a, w.b))
-
-
-def test_numpy_n_max_is_read_as_an_int():
-    """n_max + 1 wrapped to 0, and numpy refused the draw ("low >= high")."""
-    G, pair = random_twin_graph(np.random.default_rng(5), np.uint8(255))
-    assert (G, pair) == random_twin_graph(np.random.default_rng(5), 255)
 
 
 def _solve_refused(L):

@@ -1,5 +1,6 @@
 """Golden command-line corpus, replayed: README's commands and schema
-examples, the exit-code table, two more families and rejected inputs.
+examples, the exit-code table, two more families, a heavy pst scan and
+rejected inputs.
 
 Each `tests/golden/*.json` case holds an argv, the input documents it reads
 (written to a temporary directory that its --input and --out paths name;

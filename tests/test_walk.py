@@ -1,3 +1,4 @@
+import inspect
 import itertools
 import tracemalloc
 
@@ -28,6 +29,7 @@ from twinwalk import (
     transfer_amplitudes,
     twin_condition,
     verify_family,
+    WeightedGraph,
 )
 from twinwalk import walk
 from twinwalk.errors import IndexOutOfRangeError, InputError
@@ -327,12 +329,50 @@ class TestPstTimeScan:
         r = pst_time_scan(G, 0, 2, 4 * PI)
         assert r.kind is TransferKind.LPST
         assert r.fidelity >= 1.0 - 1e-9
-        # 2 pi sits exactly on the default grid; the earlier perfect time
-        # 2 pi / 3 does not, so the grid argmax lands on 2 pi.
-        assert abs(r.time - 2 * PI) < 1e-6
+        # 2 pi sits exactly on the default grid and the earlier perfect time
+        # 2 pi / 3 does not, yet the scan reports the first transfer.
+        assert abs(r.time - 2 * PI / 3) < 1e-6
         # both times transfer perfectly
         assert check_lpst(G, 0, 2, 2 * PI / 3).kind is TransferKind.LPST
         assert check_lpst(G, 0, 2, 2 * PI).kind is TransferKind.LPST
+
+    def test_heavy_k16_finds_the_first_transfer(self):
+        # 20 000 fixed samples of (0, 4 pi] step past every peak, of width
+        # about 1/B, and read NONE at fidelity 0.924 and t = 12.094
+        G = k4n_remove_matching(16, [(0, 1), (2, 3), (4, 5), (6, 7)]).graph
+        r = pst_time_scan(WeightedGraph(1000.0 * G.matrix), 0, 1, 4 * PI)
+        assert r.kind is TransferKind.LPST
+        assert r.time == pytest.approx(PI / 2000, rel=1e-12)
+
+    def test_k2_finds_the_first_transfer_at_any_weight(self):
+        for w in (1.0, 1e3, 1e5):
+            r = pst_time_scan(build_graph(2, [(0, 1, w)]), 0, 1, 4 * PI)
+            assert r.kind is TransferKind.LPST
+            assert r.time == pytest.approx(PI / (2 * w), rel=1e-12)
+
+    def test_sample_cap(self):
+        G = build_graph(2, [(0, 1, 1e12)])  # 4 pi B = 2.5e13 samples at step 1/B
+        with pytest.raises(InputError, match="cap of 10000000 samples"):
+            pst_time_scan(G, 0, 1, 4 * PI)
+
+    @pytest.mark.parametrize("block", [1, 2, 7, 76])
+    def test_block_edges_move_no_peak(self, monkeypatch, block):
+        # Near-perfect transfers: each local maximum at or above the sampling
+        # level is refined and none passes tol, whatever the block size. From
+        # 76 samples (6 pi B) on, each block holds the whole sweep.
+        G = build_graph(4, [(0, 1, 1.01), (1, 2, 1.0), (2, 3, 1.0), (3, 0, 1.0)])
+        verdict, seen = walk._verdict, []
+
+        def spy(s, a, b, t, tol):
+            seen.append(t)
+            return verdict(s, a, b, t, tol)
+
+        monkeypatch.setattr(walk, "_SCAN_GRID", block)
+        monkeypatch.setattr(walk, "_verdict", spy)
+        r = pst_time_scan(G, 0, 2, 6 * PI)
+        assert (r.kind, r.time) == (TransferKind.NONE, seen[0])
+        assert r.fidelity == pytest.approx(0.99996, abs=1e-5)
+        assert np.allclose(seen, PI / 2 * np.arange(1, 12, 2), rtol=0.01)
 
     def test_k5_bounded_everywhere(self):
         r = pst_time_scan(complete(5), 0, 1, 2 * PI)
@@ -534,6 +574,13 @@ class TestFactorization:
         ts = rng.uniform(0.0, 10.0, size=3)
         devs = run_identity_checks(G, seed=11, trials=1)
         assert devs["factorization_vs_oracle"] == self.gap(G, a, b, alpha, list(ts))
+
+    def test_random_twin_graph_draws_four_to_twelve_vertices(self):
+        assert list(inspect.signature(random_twin_graph).parameters) == ["rng"]
+        rng = np.random.default_rng(5)
+        drawn = [random_twin_graph(rng) for _ in range(200)]
+        assert {G.n for G, _ in drawn} == set(range(4, 13))
+        assert all(pair in list_twin_pairs(G) for G, pair in drawn)
 
     @settings(max_examples=100, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.floats(-2.0, 2.0),
