@@ -198,36 +198,34 @@ def verify_family(
     Otherwise it passes at fidelity >= 1 - tol: PERIODIC (a == b) through
     check_periodic, LPST through check_lpst. tol must lie in (0, 1) and
     q_max be at least 1, whatever the witnesses, and every witness's
-    vertices be vertices of the graph; all are checked before any solve.
+    vertices be vertices of the graph; all are read before any solve.
     Raises WitnessFailedError at the first witness the numerics do not
-    confirm; otherwise returns one report per witness.
+    confirm; otherwise one report per witness, with int vertices and float tol.
     """
-    _check_real(tol, 0.0, 1.0, "tol must lie in (0, 1)")
+    tol = _check_real(tol, 0.0, 1.0, "tol must lie in (0, 1)")
     if (q_max := _check_int(q_max, "q_max")) < 1:
         raise InputError("q_max must be at least 1")
-    for w in fi.expected_witnesses:
-        _check_vertex(fi.graph.n, w.a, w.b)
+    witnesses = [(*_check_vertex(fi.graph.n, w.a, w.b), w.time) for w in fi.expected_witnesses]
     eps = DEFAULT_EPSILONS[-1]
     reports = []
-    for w in fi.expected_witnesses:
-        if w.time is None:
-            hit = pgst_scan(fi.graph, w.a, w.b, q_max).achieved(eps)
+    for a, b, time in witnesses:
+        if time is None:
+            hit = pgst_scan(fi.graph, a, b, q_max).achieved(eps)
             if hit is None:
                 raise WitnessFailedError(
                     f"no time in (4q+1) pi/2 with q <= {q_max} reached "
-                    f"fidelity {1.0 - eps} for pair ({w.a},{w.b})"
+                    f"fidelity {1.0 - eps} for pair ({a},{b})"
                 )
-            report = TransferReport(
-                TransferKind.PGST, w.a, w.b, hit.time, hit.fidelity, hit.phase, eps
-            )
-        elif w.a == w.b:
-            report = check_periodic(fi.graph, w.a, w.time, tol)
+            report = TransferReport(TransferKind.PGST, a, b, hit.time, hit.fidelity,
+                                    hit.phase, eps)
+        elif a == b:
+            report = check_periodic(fi.graph, a, time, tol)
         else:
-            report = check_lpst(fi.graph, w.a, w.b, w.time, tol)
+            report = check_lpst(fi.graph, a, b, time, tol)
         if report.kind is TransferKind.NONE:
             raise WitnessFailedError(
-                f"witness {'PERIODIC' if w.a == w.b else 'LPST'} ({w.a},{w.b}) "
-                f"at t={w.time} failed with fidelity {report.fidelity}"
+                f"witness {'PERIODIC' if a == b else 'LPST'} ({a},{b}) "
+                f"at t={time} failed with fidelity {report.fidelity}"
             )
         reports.append(report)
     return reports

@@ -45,10 +45,14 @@ def _shown(value, form=str) -> str:
         return f"<{value.bit_length()}-bit integer>"
 
 
-def _check_vertex(n: int, *vertices: int) -> None:
+def _check_vertex(n: int, *vertices: int) -> tuple[int, ...]:
+    """The vertices as ints, each read by _check_int and then tested in [0, n)."""
+    read = []
     for v in vertices:
-        if not 0 <= _check_int(v, "vertex") < n:
+        if not 0 <= (v := _check_int(v, "vertex")) < n:
             raise IndexOutOfRangeError(f"vertex {_shown(v)} out of range [0, {n})")
+        read.append(v)
+    return tuple(read)
 
 
 def _check_distinct(a, b, message: str) -> None:
@@ -69,7 +73,7 @@ def _as_array(value) -> np.ndarray:
 def _zero_weights(n: int) -> np.ndarray:
     """n x n zeros; InputError unless n is an integer >= 1 and numpy can
     allocate them."""
-    if _check_int(n, "vertex count") < 1:
+    if (n := _check_int(n, "vertex count")) < 1:
         raise InputError(f"vertex count must be positive, got {_shown(n)}")
     try:
         return np.zeros((n, n))
@@ -132,7 +136,7 @@ def build_graph(n: int, edge_list: list[tuple[int, int, float]]) -> WeightedGrap
     except (TypeError, ValueError) as exc:  # not iterable, or not three entries
         raise InputError(f"edges must be (u, v, w) triples: {exc}") from exc
     for u, v, w in edges:
-        _check_vertex(n, u, v)
+        u, v = _check_vertex(n, u, v)
         if u == v:
             raise InputError(f"self loop at vertex {u}")
         weight = _check_real(w, 0.0, np.inf, lambda: f"edge ({u},{v}) has weight "
@@ -156,7 +160,7 @@ def is_twin_pair(G: WeightedGraph, a: int, b: int) -> bool:
     Rows a and b of the adjacency matrix then differ only in columns a and b,
     and there exactly when the pair is joined by an edge.
     """
-    _check_vertex(G.n, a, b)
+    a, b = _check_vertex(G.n, a, b)
     _check_distinct(a, b, "twin test needs two distinct vertices")
     return bool(_twins(G.matrix, a, slice(b, b + 1))[0])
 
@@ -190,7 +194,7 @@ def perturb_edge(G: WeightedGraph, a: int, b: int, alpha: float) -> WeightedGrap
     """
     _check_distinct(a, b, "perturbation endpoints must differ")
     alpha = _check_real(alpha, -np.inf, np.inf, "perturbation alpha must be finite")
-    _check_vertex(G.n, a, b)
+    a, b = _check_vertex(G.n, a, b)
     A = G.matrix.copy()
     A[[a, b], [b, a]] += alpha
     return WeightedGraph(A)

@@ -65,9 +65,9 @@ def run_identity_checks(
     otherwise every trial draws a fresh random graph with a planted twin
     pair.
     """
-    if _check_int(trials, "trials") < 1:
+    if (trials := _check_int(trials, "trials")) < 1:
         raise InputError("trials must be at least 1")
-    if _check_int(seed, "seed") < 0:
+    if (seed := _check_int(seed, "seed")) < 0:
         raise InputError(f"seed {_shown(seed)}: expected non-negative integer")
     rng = np.random.default_rng(seed)
     devs = dict.fromkeys(

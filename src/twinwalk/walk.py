@@ -141,11 +141,12 @@ def _spectrum_of(G: WeightedGraph) -> Spectrum:
     return eigendecompose(laplacian(G))
 
 
-def _solve(G: WeightedGraph, a: int, b: int, tol: float = DEFAULT_LPST_TOL) -> Spectrum:
-    """_spectrum_of(G) once tol is in (0, 1) and a, b are vertices of G."""
-    _check_real(tol, 0.0, 1.0, "tol must lie in (0, 1)")  # at 1 every fidelity passes
-    _check_vertex(G.n, a, b)
-    return _spectrum_of(G)
+def _solve(G: WeightedGraph, a: int, b: int, tol: float = DEFAULT_LPST_TOL) -> tuple:
+    """(_spectrum_of(G), a, b, tol), with a, b read as vertices of G (ints) and
+    tol as a float in (0, 1)."""
+    tol = _check_real(tol, 0.0, 1.0, "tol must lie in (0, 1)")  # at 1 every fidelity passes
+    a, b = _check_vertex(G.n, a, b)
+    return _spectrum_of(G), a, b, tol
 
 
 def _verdict(s: Spectrum, a: int, b: int, t: float, tol: float) -> TransferReport:
@@ -162,14 +163,16 @@ def check_lpst(
 ) -> TransferReport:
     """Evaluate the walk at time t and report whether it transfers a -> b."""
     _check_distinct(a, b, "state transfer needs two distinct vertices")
-    return _verdict(_solve(G, a, b, tol), a, b, t, tol)
+    s, a, b, tol = _solve(G, a, b, tol)
+    return _verdict(s, a, b, t, tol)
 
 
 def check_periodic(
     G: WeightedGraph, p: int, t: float, tol: float = DEFAULT_LPST_TOL
 ) -> TransferReport:
     """Report whether the walk returns to vertex p at time t."""
-    return _verdict(_solve(G, p, p, tol), p, p, t, tol)
+    s, p, _, tol = _solve(G, p, p, tol)
+    return _verdict(s, p, p, t, tol)
 
 
 def pst_time_scan(
@@ -201,7 +204,7 @@ def pst_time_scan(
     t -> 0; check_periodic and pgst_scan(G, p, p) test returns to p."""
     _check_distinct(a, b, "state transfer needs two distinct vertices")
     t_max = _check_real(t_max, 0.0, np.inf, "t_max must be positive and finite")
-    s = _solve(G, a, b, tol)
+    s, a, b, tol = _solve(G, a, b, tol)
     _phases(s.values, t_max)  # the phase rule bounds t_max B below 2 pi/eps
     spread = float(s.values[-1] - s.values[0])
     if t_max * spread > _SCAN_CAP:
@@ -266,12 +269,12 @@ def pgst_scan(
 ) -> PGSTWitness:
     """Scan times (4q+1) pi/2 for q = 0..q_max for transfer a -> b.
 
-    For each epsilon the exact first time with fidelity >= 1 - epsilon is
-    recorded. Running-best improvements are recorded when they grow by more
-    than 1e-6 (finer gains are indistinguishable from the eigenvalue noise
-    accumulated at large times). The scan stops once the smallest epsilon is
-    achieved. With a == b this measures return fidelity, i.e. almost
-    periodicity at the vertex.
+    For each epsilon (read as a float) the exact first time with fidelity
+    >= 1 - epsilon is recorded. Running-best improvements are recorded when
+    they grow by more than 1e-6 (finer gains are indistinguishable from the
+    eigenvalue noise accumulated at large times). The scan stops once the
+    smallest epsilon is achieved. With a == b this measures return
+    fidelity, i.e. almost periodicity at the vertex.
 
     Each step of 8192 q values gets its amplitudes as (P @ table.T),
     where table[r, j] = exp(-2 pi i mu_j r) for r < 1024 (fewer rows when
@@ -286,13 +289,14 @@ def pgst_scan(
     """
     if (q_max := _check_int(q_max, "q_max")) < 1:
         raise InputError("q_max must be at least 1")
-    try:  # the ladder keeps the values given, a 0-d array as its scalar
-        pending, hi = [e[()] if isinstance(e, np.ndarray) else e for e in epsilons], 1.0
+    try:
+        pending, hi = list(epsilons), 1.0
     except TypeError as exc:  # not iterable
         raise InputError(f"epsilons must be an iterable of numbers: {exc}") from exc
-    for e in pending:  # each in (0, the one before)
-        hi = _check_real(e, 0.0, hi, "epsilons must be strictly decreasing within (0, 1)")
-    s = _solve(G, a, b)
+    for i, e in enumerate(pending):  # each in (0, the one before)
+        pending[i] = hi = _check_real(
+            e, 0.0, hi, "epsilons must be strictly decreasing within (0, 1)")
+    s, a, b, _ = _solve(G, a, b)
     c = s.coefficients(a, b)
     rows = min(_PHASE_TABLE_ROWS, q_max + 1)
     table = _phases(s.values, 2.0 * np.pi * np.arange(rows))

@@ -19,6 +19,13 @@ name, a negative seed, and a q_max below 1 for a family with no PGST
 witness. Each case stores what the command
 printed with the code checked out when this script runs, so record on the
 code whose output the corpus should pin, then commit the JSON files.
+
+A case is written only when it is new or no longer matches its stored file
+under tests/test_golden.py's assert_matches (argv and inputs included), so
+a run on unchanged code, even on another numpy or BLAS build whose near-zero
+phases and identity deviations differ within the match, rewrites nothing. A
+JSON file whose name is no longer a case is deleted. Run on a clean checkout,
+`git status` then lists exactly the cases that were added, changed or dropped.
 """
 
 from __future__ import annotations
@@ -31,7 +38,7 @@ from pathlib import Path
 HERE = Path(__file__).resolve().parent
 sys.path.insert(0, str(HERE.parent))
 
-from test_golden import readme_commands, run_case  # noqa: E402
+from test_golden import assert_matches, readme_commands, run_case  # noqa: E402
 from test_errors import EXIT_IDS, EXIT_TABLE  # noqa: E402
 from test_readme import EXAMPLES  # noqa: E402
 
@@ -107,15 +114,23 @@ def cases() -> list[tuple[str, str, list[str], dict]]:
 
 
 def main() -> None:
+    wanted = cases()
     for old in HERE.glob("*.json"):
-        old.unlink()
-    for name, source, argv, inputs in cases():
+        if old.stem not in {name for name, *_ in wanted}:
+            old.unlink()
+            print(old.stem, "deleted")
+    for name, source, argv, inputs in wanted:
         with tempfile.TemporaryDirectory() as tmp:
             got = run_case(argv, inputs, Path(tmp))
         case = {"source": source, "argv": argv, "inputs": inputs, **got}
         lines = ",\n".join(f" {json.dumps(k)}: {json.dumps(v)}" for k, v in case.items())
-        (HERE / f"{name}.json").write_text("{\n" + lines + "\n}\n")
-        print(name, got["exit"])
+        text, path = "{\n" + lines + "\n}\n", HERE / f"{name}.json"
+        try:  # a stored case that still matches is left as it is
+            assert_matches(json.loads(text), json.loads(path.read_text()))
+            print(name, got["exit"], "unchanged")
+        except (OSError, AssertionError):
+            path.write_text(text)
+            print(name, got["exit"], "written")
 
 
 if __name__ == "__main__":

@@ -404,9 +404,13 @@ class TestErrorsAndOutput:
             ("family", {"family": "quarter_weight", "pairs": [[0, 2]]},
              'quarter_weight needs a "base" graph'),
             ("family", {"family": "cycle"}, 'unknown family "cycle"'),
+            ("twins", {"circulant": {"n": 8}}, "bad circulant object: 'S'"),
+            ("family", {"family": "circulant_twin", "n": 8},
+             "bad circulant_twin parameters: 'S'"),
         ],
         ids=["graph_not_object", "edge_length", "base_name", "family_key",
-             "k4n_size", "quarter_base", "family_name"],
+             "k4n_size", "quarter_base", "family_name", "circulant_key",
+             "circulant_twin_key"],
     )
     def test_malformed_documents_exit_2(self, tmp_path, capsys, command, doc, phrase):
         code = main([command, "--input", write(tmp_path, "doc.json", doc)])

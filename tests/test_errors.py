@@ -8,6 +8,7 @@ import json
 import math
 import tempfile
 import textwrap
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -27,6 +28,7 @@ from twinwalk import (
     complete_graph,
     eigendecompose,
     gcd_class,
+    is_twin_pair,
     is_gcd_set,
     k4n_remove_matching,
     laplacian,
@@ -401,8 +403,9 @@ def test_one_time_may_be_a_numpy_scalar(t):
 
 
 @pytest.mark.parametrize("value",
-                         [np.float32(0.25), np.int64(3), Fraction(1, 4), np.array(0.25)],
-                         ids=["float32", "int64", "fraction", "0-d"])
+                         [np.float32(0.25), np.int64(3), Fraction(1, 4), np.array(0.25),
+                          Fraction(1, 10)],
+                         ids=["float32", "int64", "fraction", "0-d", "fraction-tenth"])
 def test_numpy_and_rational_reals_are_accepted(value):
     """A real-valued argument, a time included, may be any real number type
     or a 0-d array of one, with the results of the equal float; tol and
@@ -425,6 +428,7 @@ def test_numpy_and_rational_reals_are_accepted(value):
                           matrix_exp_oracle(laplacian(c4()), x))
     if x < 1:
         assert check_lpst(c4(), 0, 2, 1.0, tol=value) == check_lpst(c4(), 0, 2, 1.0, tol=x)
+        hash(check_lpst(c4(), 0, 2, 1.0, tol=value))  # tol a float, not a 0-d array
         assert (pgst_scan(c4(), 0, 2, q_max=10, epsilons=(value,))
                 == pgst_scan(c4(), 0, 2, q_max=10, epsilons=(x,)))
         hit, = pgst_scan(c4(), 0, 2, q_max=10, epsilons=(value,)).epsilon_ladder
@@ -462,6 +466,25 @@ def test_numpy_modulus_is_read_as_an_int():
     fi = circulant_twin_edge_family(z16(), [(np.uint8(8), np.uint8(0))])
     assert fi == circulant_twin_edge_family(z16(), [(8, 0)])
     assert all(type(v) is int for w in fi.expected_witnesses for v in (w.a, w.b))
+
+
+def test_numpy_vertex_is_read_as_an_int():
+    """b + 1 with b = np.uint8(255) wrapped to 0 in uint8, with an overflow
+    warning, and the twin test raised a builtin IndexError."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert is_twin_pair(complete_graph(300), 0, np.uint8(255))
+
+
+def test_reports_hold_int_vertices():
+    """Numpy vertices were kept in reports, which json.dumps refuses."""
+    a, b = np.int64(0), np.uint8(2)
+    fi = FamilyInstance(c4(), (ExpectedWitness(a, b, math.pi / 2),
+                               ExpectedWitness(b, b, math.pi)), "c4")
+    reports = [check_lpst(c4(), a, b, math.pi / 2), check_periodic(c4(), b, math.pi),
+               pst_time_scan(c4(), a, b, math.pi), *verify_family(fi)]
+    assert [(type(r.source), type(r.target)) for r in reports] == [(int, int)] * 5
+    json.dumps([(r.source, r.target) for r in reports])
 
 
 def _solve_refused(L):

@@ -23,6 +23,29 @@ from conftest import assert_spectrum_invariants, cycle_graph, multiplicities, pr
 from test_graphs import complete
 
 
+@st.composite
+def laplacians(draw):
+    """A graph Laplacian on n <= 20 vertices with integer weights, or with
+    float weights that mix unit-scale and tiny (1e-16 to 1e-6) edges, so its
+    diagonal comes in no order, tiny couplings meet wide diagonal gaps and
+    some start below the rotation threshold;
+    up to three vertices copy another's weights, which plants twins."""
+    n = draw(st.integers(1, 20))
+    if draw(st.booleans()):
+        weight = st.integers(0, 4).map(float)
+    else:
+        weight = st.one_of(st.just(0.0), st.floats(0.1, 10.0), st.floats(1e-16, 1e-6))
+    rows, cols = np.triu_indices(n, 1)
+    W = np.zeros((n, n))
+    W[rows, cols] = draw(st.lists(weight, min_size=rows.size, max_size=rows.size))
+    W += W.T
+    vertex = st.integers(0, n - 1)
+    for a, b in draw(st.lists(st.tuples(vertex, vertex), max_size=3)):
+        others = [q for q in range(n) if q not in (a, b)]
+        W[b, others] = W[others, b] = W[a, others]
+    return np.diag(W.sum(axis=1)) - W
+
+
 class TestEigendecompose:
     def test_k4(self):
         s = eigendecompose(laplacian(complete(4)))
@@ -121,6 +144,20 @@ class TestEigendecompose:
         with pytest.raises(IndexOutOfRangeError):
             s.coefficients(a, b)
 
+    @settings(max_examples=40, deadline=None)
+    @given(laplacians())
+    @example(np.array([[1.0, -1.0, 0.0], [-1.0, 1.0 + 1e-13, -1e-13],
+                       [0.0, -1e-13, 1e-13]]))
+    def test_basis_residual_and_orthogonality(self, L):
+        # the bounds of TestJacobi's test, through the spectrum whatever its
+        # solver, with each column's Rayleigh quotient as its eigenvalue
+        V = eigendecompose(L).vectors
+        fro = float(np.linalg.norm(L))
+        eps = np.finfo(float).eps
+        values = np.einsum("ij,ij->j", V, L @ V)
+        assert np.linalg.norm(L @ V - V * values) <= 2.0 * L.shape[0] * eps * max(1.0, fro)
+        assert np.linalg.norm(V.T @ V - np.eye(L.shape[0])) <= 1e-12 * max(1.0, fro)
+
     def test_random_invariants(self, rng):
         # module contract: 50 random symmetric matrices, n <= 12
         for _ in range(50):
@@ -135,29 +172,6 @@ class TestEigendecompose:
                 for mu, E in zip(s.values, Es):
                     spectral += np.exp(-1j * mu * t) * E
                 assert np.abs(spectral - matrix_exp_oracle(H, t)).max() < 1e-8
-
-
-@st.composite
-def laplacians(draw):
-    """A graph Laplacian on n <= 20 vertices with integer weights, or with
-    float weights that mix unit-scale and tiny (1e-16 to 1e-6) edges, so its
-    diagonal comes in no order, tiny couplings meet wide diagonal gaps and
-    some start below the rotation threshold;
-    up to three vertices copy another's weights, which plants twins."""
-    n = draw(st.integers(1, 20))
-    if draw(st.booleans()):
-        weight = st.integers(0, 4).map(float)
-    else:
-        weight = st.one_of(st.just(0.0), st.floats(0.1, 10.0), st.floats(1e-16, 1e-6))
-    rows, cols = np.triu_indices(n, 1)
-    W = np.zeros((n, n))
-    W[rows, cols] = draw(st.lists(weight, min_size=rows.size, max_size=rows.size))
-    W += W.T
-    vertex = st.integers(0, n - 1)
-    for a, b in draw(st.lists(st.tuples(vertex, vertex), max_size=3)):
-        others = [q for q in range(n) if q not in (a, b)]
-        W[b, others] = W[others, b] = W[a, others]
-    return np.diag(W.sum(axis=1)) - W
 
 
 class TestJacobi:
@@ -253,6 +267,22 @@ def test_only_graphs_tests_number_types():
                                                     if isinstance(x, ast.Name)})
     assert sorted(tests) == ["cli.main", "graphs._check_int", "graphs._check_int",
                              "graphs._check_real"]
+
+
+def test_no_reader_value_is_thrown_away():
+    """A checked argument is used as the value its reader returns: the int of
+    graphs._check_int, the ints of _check_vertex, the float of _check_real.
+    A reader called as a statement, or compared in place and not bound, keeps
+    the raw value in use (a numpy vertex wraps, a Fraction tol stays exact);
+    each such call fails here."""
+    readers = {"_check_int", "_check_real", "_check_vertex"}
+    dropped = [f"{path.name}:{child.lineno}"
+               for path in sorted(Path(twinwalk.__file__).parent.glob("*.py"))
+               for node in ast.walk(ast.parse(path.read_text(), str(path)))
+               if isinstance(node, (ast.Expr, ast.Compare))
+               for child in ast.iter_child_nodes(node)
+               if isinstance(child, ast.Call) and ast.unparse(child.func) in readers]
+    assert dropped == []
 
 
 class TestIntegrality:
