@@ -94,37 +94,36 @@ def _real_matrix(M) -> np.ndarray:
 
 
 def _jacobi(L: np.ndarray, fro: float) -> tuple[np.ndarray, np.ndarray]:
-    """Threshold cyclic Jacobi on L with Frobenius norm fro: (eigenvalues,
-    eigenvector columns) after the first sweep that rotates nothing. A sweep
-    rotates each entry with |a_pq| > eps fro (strict: a zero L rotates none);
+    """Threshold cyclic Jacobi on L with Frobenius norm fro, turning rows of [A | V^T]:
+    (eigenvalues, V viewing that array) after the first sweep that rotates nothing.
+    A sweep rotates each entry with |a_pq| > eps fro (strict: a zero L rotates none);
     a smaller one only moves rounding noise, tilting a vector by <= eps fro / gap."""
-    A = np.array(L, dtype=float)
-    n = A.shape[0]
-    W = np.eye(n)  # V^T: a rotation turns two rows of A and two of W
+    n = L.shape[0]
+    B = np.hstack((L, np.eye(n)))  # [A | V^T]: one statement turns a row of both
+    A = B[:, :n]
     skip = np.finfo(float).eps * fro
     for _ in range(_JACOBI_MAX_SWEEPS):
         rotated = False
         for p in range(n - 1):
-            Ap, Wp = A[p], W[p]
+            Bp = B[p]
             for q in range(p + 1, n):
-                apq = Ap[q]
+                apq = Bp[q]
                 if abs(apq) <= skip:
                     continue
                 rotated = True
-                Aq, Wq = A[q], W[q]
-                app, aqq = Ap[p], Aq[q]
+                Bq = B[q]
+                app, aqq = Bp[p], Bq[q]
                 # atan2, not the inner rotation (|theta| <= pi/4), sorts the pair:
                 # a_qq - a_pp becomes hypot(a_qq - a_pp, 2 a_pq) >= 0, so repeated
                 # eigenvalues gather early; and no ratio of entries overflows it.
                 theta = 0.5 * math.atan2(2.0 * apq, aqq - app)
                 c, s = math.cos(theta), math.sin(theta)
-                Ap[:], Aq[:] = c * Ap - s * Aq, s * Ap + c * Aq
-                Wp[:], Wq[:] = c * Wp - s * Wq, s * Wp + c * Wq
-                A[:, p], A[:, q] = Ap, Aq  # mirrored: A stays exactly symmetric
+                Bp[:], Bq[:] = c * Bp - s * Bq, s * Bp + c * Bq
+                A[:, p], A[:, q] = Bp[:n], Bq[:n]  # mirrored: A stays exactly symmetric
                 d = s * s * (aqq - app) - 2.0 * c * s * apq  # 2 x 2 closed form
-                Ap[p], Aq[q], Ap[q], Aq[p] = app + d, aqq - d, 0.0, 0.0
+                Bp[p], Bq[q], Bp[q], Bq[p] = app + d, aqq - d, 0.0, 0.0
         if not rotated:
-            return np.diag(A).copy(), W.T
+            return np.diag(A).copy(), B[:, n:].T
     raise ConvergenceFailureError(f"Jacobi did not converge after {_JACOBI_MAX_SWEEPS} sweeps")
 
 

@@ -127,6 +127,32 @@ class TestEigendecompose:
             with pytest.raises(ValueError):
                 arr[...] = 0.0
 
+    def test_input_is_left_unchanged(self, rng):
+        # a writeable float L comes back bit for bit, from eigendecompose and
+        # from the solver itself, which rotates a copy of L inside [A | V^T]
+        R = rng.uniform(-2.0, 2.0, size=(9, 9))
+        for L in (laplacian(k4n_remove_matching(12, [(0, 1), (2, 3)]).graph),
+                  (R + R.T) / 2.0):
+            assert L.dtype == float and L.flags.writeable
+            before = L.tobytes()
+            eigendecompose(L)
+            twinwalk.spectral._jacobi(L, float(np.linalg.norm(L)))
+            assert L.tobytes() == before
+
+    def test_basis_holds_no_larger_array(self, rng):
+        # the solver works in one n x 2n array [A | V^T]; a basis that views
+        # it (say, returned unsorted when the order is already the identity)
+        # would keep twice the memory alive for as long as the spectrum lives
+        R = rng.uniform(-2.0, 2.0, size=(9, 9))
+        for L in (np.diag([0.0, 1.0, 2.0, 3.0]),  # no rotation, sorted already
+                  laplacian(k4n_remove_matching(12, [(0, 1), (2, 3)]).graph),
+                  (R + R.T) / 2.0):
+            n = L.shape[0]
+            arr = eigendecompose(L).vectors
+            while arr is not None:
+                assert arr.size <= n * n
+                arr = arr.base
+
     def test_basis_formulas_match_projector_sums(self):
         # degenerate spectra; the projector sums are the reference
         for G in (complete(5), cycle_graph(8), cycle_graph(7)):
