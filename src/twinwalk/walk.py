@@ -14,15 +14,7 @@ factorization (identities checks it against the series exponential).
 Searches cover a uniform time grid with a step at most 1/(mu_max - mu_min),
 whose high local maxima are refined in time order by bisection on the sign of
 d|U(t)[b, a]|^2/dt (perfect transfer), and the arithmetic progression
-(4q+1) pi/2 (pretty good transfer / almost periodicity). The progression is
-swept by the exact factorization
-
-    exp(-i mu (4(q0 + r) + 1) pi/2)
-        = exp(-i mu (4 q0 + 1) pi/2) exp(-2 pi i mu r),
-
-so a table of exp(-2 pi i mu_j r) for r < 1024, built once per scan by _phases,
-turns each block of 1024 times into one exponential per cluster and a row of a
-small matrix product; a scan holds 8 such blocks at a time, whatever q_max.
+(4q+1) pi/2 (pretty good transfer / almost periodicity); _sweep sweeps both.
 """
 
 from __future__ import annotations
@@ -41,12 +33,12 @@ DEFAULT_LPST_TOL = 1e-9
 DEFAULT_QMAX = 1_000_000
 DEFAULT_EPSILONS = (1e-1, 1e-2, 1e-3)
 
-_SCAN_GRID = 20_000  # least samples per pst scan, and samples per block
+_SCAN_GRID = 20_000  # least samples per pst scan
 _SCAN_CAP = 10**7  # most samples per pst scan
 _PHASE_FLOOR = 1e-15
 _RECORD_STEP = 1e-6
 _PHASE_TABLE_ROWS = 1024
-_PGST_STEP = 8 * _PHASE_TABLE_ROWS  # q values per pgst_scan step
+_SWEEP_BLOCK = 8 * _PHASE_TABLE_ROWS  # times per block of _sweep
 
 
 class TransferKind(enum.Enum):
@@ -108,6 +100,30 @@ def transfer_amplitudes(
 ) -> np.ndarray:
     """Entry (b, a) of the propagator at each time, as one vectorized sweep."""
     return _phases(s.values, times) @ s.coefficients(a, b)
+
+
+def _sweep(s: Spectrum, c: np.ndarray, count: int, h: float, offset: float):
+    """Blocks (i0, times, f, |f|) of f(t) = sum_j c_j exp(-i mu_j t) at the times
+    t = (i + offset) h for i0 <= i < min(i0 + _SWEEP_BLOCK, count).
+
+    A run of 1024 times t0 + r h is (c_j exp(-i mu_j t0)) @ table.T, where
+    table[r, j] = exp(-i mu_j r h) is built once by _phases: one exponential per
+    cluster per 1024 times and a row of a small matrix product, in memory
+    independent of count; InputError once a block holds a phase past pi/eps."""
+    table = _phases(s.values, h * np.arange(min(_PHASE_TABLE_ROWS, count)))
+    for i0 in range(0, count, _SWEEP_BLOCK):
+        times = (np.arange(i0, min(i0 + _SWEEP_BLOCK, count)) + offset) * h
+        _phases(s.values, times[-1])  # the table adds mu r h to every 1024th time
+        amps = ((_phases(s.values, times[:: len(table)]) * c) @ table.T).ravel()[: times.size]
+        yield i0, times, amps, np.abs(amps)
+
+
+def _sweep_error(s: Spectrum, c: np.ndarray, t: float) -> float:
+    """Bounds |f - g|, so also ||f| - |g||, for _sweep's f and transfer_amplitudes's g
+    at times up to t: with u = 2**-53 they round each phase mu_j t apart by at most
+    3 u |mu_j| t (a pst scan's t_max for count h included), and exponentials,
+    products and k-term sums by (5 + 1.5 k) u, times sum_j |c_j|; doubled here."""
+    return (8 + 3 * c.size + 4 * np.abs(s.values).max() * t) * 2.0**-52 * np.abs(c).sum()
 
 
 def perturbed_propagator(
@@ -201,7 +217,11 @@ def pst_time_scan(
     perfect transfer |f| rounds to 1 over a window about 1e-8 wide, but the
     sign of its slope stays resolved there, so the reported time is stable
     to rounding. Source and target must differ, as |U(t)[p, p]| -> 1 as
-    t -> 0; check_periodic and pgst_scan(G, p, p) test returns to p."""
+    t -> 0; check_periodic and pgst_scan(G, p, p) test returns to p.
+
+    _sweep reads the grid; transfer_amplitudes reads again each sample within
+    2 _sweep_error of the level or of its block's best, or above, so the grid
+    maxima and every bracket are those of a sample-by-sample sweep."""
     _check_distinct(a, b, "state transfer needs two distinct vertices")
     t_max = _check_real(t_max, 0.0, np.inf, "t_max must be positive and finite")
     s, a, b, tol = _solve(G, a, b, tol)
@@ -219,6 +239,8 @@ def pst_time_scan(
     def refined(t: float, mag: float) -> TransferReport:
         """The verdict where the slope changes sign in [t - step, t + step], or
         at the grid point t of magnitude mag unless that is strictly better."""
+        if mag < _PHASE_FLOOR:  # no transfer to refine: the slope's sign is noise
+            return _verdict(s, a, b, t, tol)
         lo, hi = max(t - step, 0.0), min(t + step, t_max)
         while lo < (mid := 0.5 * (lo + hi)) < hi:
             phases = _phases(s.values, mid)
@@ -231,19 +253,15 @@ def pst_time_scan(
 
     found, best, best_time = None, -1.0, t_max
     tail = np.zeros((2, 1))  # time 0 and |f(0)| = 0, the left neighbour of the first sample
-    for i0 in range(1, count + 1, _SCAN_GRID):
-        i1 = min(i0 + _SCAN_GRID, count + 1)
-        times = np.arange(i0, i1) * step
-        if i1 > count:
-            times[-1] = t_max
-        # Not swept through a phase table as in pgst_scan: on a flat top, where
-        # |f| rounds to 1, the table's different rounding of mu_j t moves the
-        # grid maxima and with them the brackets that the bisection refines.
-        mags = np.abs(transfer_amplitudes(s, a, b, times))
+    for i0, times, _, mags in _sweep(s, c, count, step, 1):
+        times[count - 1 - i0:] = t_max  # the last sample, within _sweep_error of count * step
+        near = np.flatnonzero(mags >= min(level, mags.max()) - 2.0 * _sweep_error(s, c, t_max))
+        # a second row: numpy sends a one-row product to BLAS's dot, which rounds otherwise
+        mags[near] = np.abs(transfer_amplitudes(s, a, b, times[np.r_[near, near[0]]]))[:-1]
         if mags[k := int(np.argmax(mags))] > best:
             best, best_time = float(mags[k]), float(times[k])
         ts, ms = np.concatenate((tail, [times, mags]), axis=1)
-        ms = np.append(ms, -np.inf) if i1 > count else ms  # t_max has no right neighbour
+        ms = np.append(ms, -np.inf) if ts[-1] == t_max else ms  # t_max has no right neighbour
         top = np.flatnonzero((ms[1:-1] > ms[:-2]) & (ms[1:-1] >= ms[2:])
                              & (ms[1:-1] >= level)) + 1
         for t, mag in zip(ts[top].tolist(), ms[top].tolist()):
@@ -253,11 +271,7 @@ def pst_time_scan(
             if found is None or report.fidelity > found.fidelity:
                 found = report
         tail = np.stack((ts[-2:], ms[-2:]))  # the last sample is judged with the next block
-    if found is not None:
-        return found
-    if best < _PHASE_FLOOR:  # no transfer to refine: the slope's sign is noise
-        return _verdict(s, a, b, best_time, tol)
-    return refined(best_time, best)
+    return found if found is not None else refined(best_time, best)
 
 
 def pgst_scan(
@@ -276,16 +290,8 @@ def pgst_scan(
     smallest epsilon is achieved. With a == b this measures return
     fidelity, i.e. almost periodicity at the vertex.
 
-    Each step of 8192 q values gets its amplitudes as (P @ table.T),
-    where table[r, j] = exp(-2 pi i mu_j r) for r < 1024 (fewer rows when
-    q_max + 1 is smaller) and P[i, j] = c_j exp(-i mu_j t) at every
-    1024th time t of the step, c being the transfer coefficients of (a, b):
-    one exponential per cluster and 1024 times. This form and
-    transfer_amplitudes each round mu_j t by about eps |mu_j| t, so their
-    fidelities agree to that order. Every time of a step is evaluated, so
-    InputError as soon as a step holds a time whose phase exceeds pi/eps.
-    Memory is about 8192 x 40 B for the step's times, amplitudes and
-    magnitudes plus 1024 k x 16 B for the table, whatever q_max is.
+    _sweep evaluates the times (q + 1/4) 2 pi, the floats (4q+1) pi/2, a whole
+    block at a time, so InputError once a block holds a phase past pi/eps.
     """
     if (q_max := _check_int(q_max, "q_max")) < 1:
         raise InputError("q_max must be at least 1")
@@ -297,18 +303,11 @@ def pgst_scan(
         pending[i] = hi = _check_real(
             e, 0.0, hi, "epsilons must be strictly decreasing within (0, 1)")
     s, a, b, _ = _solve(G, a, b)
-    c = s.coefficients(a, b)
-    rows = min(_PHASE_TABLE_ROWS, q_max + 1)
-    table = _phases(s.values, 2.0 * np.pi * np.arange(rows))
     times: list[float] = []
     fids: list[float] = []
     ladder: list[EpsilonHit] = []
     best = 0.0
-    for q0 in range(0, q_max + 1, _PGST_STEP):
-        ts = (4.0 * np.arange(q0, min(q0 + _PGST_STEP, q_max + 1)) + 1.0) * (np.pi / 2.0)
-        _phases(s.values, ts[-1])  # the table adds 2 pi mu r to every 1024th time
-        amps = ((_phases(s.values, ts[::rows]) * c) @ table.T).ravel()[: ts.size]
-        mags = np.abs(amps)
+    for q0, ts, amps, mags in _sweep(s, s.coefficients(a, b), q_max + 1, 2.0 * np.pi, 0.25):
         while pending and (crossed := np.flatnonzero(mags >= 1.0 - pending[0])).size:
             i = int(crossed[0])
             ladder.append(EpsilonHit(pending.pop(0), q0 + i, float(ts[i]),

@@ -308,8 +308,8 @@ class TestPstTimeScan:
     def test_zero_amplitude_skips_the_bisection(self, monkeypatch):
         # Every grid amplitude is zero, so the slope's sign is noise, and a
         # bisection would halve the first bracket toward 0 through the
-        # subnormals (about 1060 _phases calls); the grid and the verdict
-        # need two.
+        # subnormals (about 1060 _phases calls at one time each); the scan
+        # makes one such call for t_max and one per block of its samples.
         G = build_graph(4, [(0, 1, 1.0), (2, 3, 1.0)])
         phases, seen = walk._phases, []
 
@@ -319,9 +319,16 @@ class TestPstTimeScan:
 
         monkeypatch.setattr(walk, "_phases", spy)
         r = pst_time_scan(G, 0, 2, 4 * PI)
-        assert len(seen) <= 3
+        blocks = -(-20_000 // walk._SWEEP_BLOCK)
+        assert sum(np.ndim(t) == 0 for t in seen) <= 1 + blocks
         assert (r.kind, r.time, r.fidelity, r.phase) == (
             TransferKind.NONE, 4 * PI / 20_000, 0.0, 1.0)
+
+    def test_last_sample_is_t_max(self):
+        # |U(t)[1, 0]| = |sin t| on K2 rises over (0, 1.3], so the best sample
+        # is the last one, t_max itself, though 20000 * (1.3 / 20000) != 1.3.
+        r = pst_time_scan(build_graph(2, [(0, 1, 1.0)]), 0, 1, 1.3)
+        assert (r.kind, r.time) == (TransferKind.NONE, 1.3)
 
     def test_quarter_weight_k3_finds_two_pi(self):
         G = complete(3)
@@ -358,8 +365,9 @@ class TestPstTimeScan:
     @pytest.mark.parametrize("block", [1, 2, 7, 76])
     def test_block_edges_move_no_peak(self, monkeypatch, block):
         # Near-perfect transfers: each local maximum at or above the sampling
-        # level is refined and none passes tol, whatever the block size. From
-        # 76 samples (6 pi B) on, each block holds the whole sweep.
+        # level is refined and none passes tol, whatever the block size. The
+        # grid is the least that covers the horizon, 76 samples (6 pi B), and
+        # from 76 on one block holds the whole sweep.
         G = build_graph(4, [(0, 1, 1.01), (1, 2, 1.0), (2, 3, 1.0), (3, 0, 1.0)])
         verdict, seen = walk._verdict, []
 
@@ -367,7 +375,8 @@ class TestPstTimeScan:
             seen.append(t)
             return verdict(s, a, b, t, tol)
 
-        monkeypatch.setattr(walk, "_SCAN_GRID", block)
+        monkeypatch.setattr(walk, "_SCAN_GRID", 1)
+        monkeypatch.setattr(walk, "_SWEEP_BLOCK", block)
         monkeypatch.setattr(walk, "_verdict", spy)
         r = pst_time_scan(G, 0, 2, 6 * PI)
         assert (r.kind, r.time) == (TransferKind.NONE, seen[0])
@@ -395,6 +404,93 @@ class TestPstTimeScan:
             pst_time_scan(cycle_graph(4), a, b, PI)
         with pytest.raises(IndexOutOfRangeError):
             pgst_scan(cycle_graph(4), a, b, q_max=10)
+
+
+class TestSweep:
+    @staticmethod
+    def dense(seed, n):
+        """Complete graph on n vertices with weights uniform in [0.1, 2)."""
+        W = np.triu(np.random.default_rng(seed).uniform(0.1, 2.0, (n, n)), 1)
+        return WeightedGraph(W + W.T)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.data())
+    def test_error_bound(self, data):
+        # One block of times up to the pst scan's sample cap, at steps up to
+        # 1/B; the amplitudes' gap bounds their magnitudes' gap.
+        seed = data.draw(st.integers(0, 2**32 - 1))
+        if data.draw(st.booleans()):
+            G, (a, b) = random_twin_graph(np.random.default_rng(seed))
+        else:
+            G, a, b = self.dense(seed, data.draw(st.integers(2, 64))), 0, 1
+        s = spectrum_of(G)
+        c = s.coefficients(a, b)
+        spread = s.values[-1] - s.values[0]
+        h = data.draw(st.floats(0.5, 1.0)) / spread if spread > 0 else 1.0
+        offset = data.draw(st.integers(0, walk._SCAN_CAP - walk._SWEEP_BLOCK))
+        for _, times, amps, _ in walk._sweep(s, c, walk._SWEEP_BLOCK, h, offset):
+            gap = np.abs(amps - transfer_amplitudes(s, a, b, times)).max()
+            assert gap <= walk._sweep_error(s, c, times[-1])
+
+    @staticmethod
+    def direct_scan(G, a, b, t_max):
+        """pst_time_scan with every sample evaluated by transfer_amplitudes."""
+        def sweep(s, c, count, h, offset):
+            for i0 in range(0, count, walk._SWEEP_BLOCK):
+                times = (np.arange(i0, min(i0 + walk._SWEEP_BLOCK, count)) + offset) * h
+                amps = transfer_amplitudes(s, a, b, times)
+                yield i0, times, amps, np.abs(amps)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(walk, "_sweep", sweep)
+            return pst_time_scan(G, a, b, t_max)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.data())
+    def test_random_scans_report_as_a_direct_sweep(self, data):
+        if data.draw(st.booleans()):
+            seed = data.draw(st.integers(0, 2**32 - 1))
+            G, (a, b) = random_twin_graph(np.random.default_rng(seed))
+        else:
+            m = data.draw(st.integers(1, 3))
+            order = data.draw(st.permutations(range(4 * m)))
+            k = data.draw(st.integers(1, 2 * m))
+            matching = list(zip(order[0:2 * k:2], order[1:2 * k:2]))
+            G = k4n_remove_matching(4 * m, matching).graph
+            a, b = data.draw(st.sampled_from(matching + [(order[0], order[-1])]))
+        t_max = data.draw(st.sampled_from([4 * PI, 40.0, 300.0]))
+        assert repr(pst_time_scan(G, a, b, t_max)) == repr(self.direct_scan(G, a, b, t_max))
+
+    @pytest.mark.parametrize("G, a, b", [
+        # a pair outside the matching: |f| peaks at exactly 0.5 again and again,
+        # and the table's rounding would break those ties otherwise
+        pytest.param(k4n_remove_matching(4, [(1, 2)]).graph, 2, 0, id="k4-outside-matching"),
+        pytest.param(build_graph(2, [(0, 1, 1e3)]), 0, 1, id="k2-1e3"),
+        pytest.param(build_graph(2, [(0, 1, 1e5)]), 0, 1, id="k2-1e5"),
+        pytest.param(WeightedGraph(1000.0 * k4n_remove_matching(
+            16, [(0, 1), (2, 3), (4, 5), (6, 7)]).graph.matrix), 0, 1, id="k16-heavy"),
+        *[pytest.param(circulant_twin_edge_family(spec, [(0, 8)]).graph, 0, 8,
+                       id="z16-" + "-".join(map(str, sorted(spec.S))))
+          for spec in ADMISSIBLE_CIRCULANTS if spec.n == 16],
+    ])
+    def test_families_report_as_a_direct_sweep(self, G, a, b):
+        assert repr(pst_time_scan(G, a, b, 4 * PI)) == repr(self.direct_scan(G, a, b, 4 * PI))
+
+    def test_few_samples_are_evaluated_again(self, monkeypatch):
+        # A dense K16 near the sample cap: the mask of exact samples holds a
+        # sample or two per block, not the block.
+        G = self.dense(16, 16)
+        s = spectrum_of(G)
+        count = int(0.99 * walk._SCAN_CAP)
+        amplitudes, passed = walk.transfer_amplitudes, []
+
+        def spy(s, a, b, times):
+            passed.append(np.size(times))
+            return amplitudes(s, a, b, times)
+
+        monkeypatch.setattr(walk, "transfer_amplitudes", spy)
+        pst_time_scan(G, 0, 1, count / (s.values[-1] - s.values[0]))
+        assert sum(passed) <= 4 * -(-count // walk._SWEEP_BLOCK)
 
 
 class TestPgstScan:
@@ -517,7 +613,7 @@ class TestPgstScan:
     @settings(max_examples=15, deadline=None)
     @given(st.data())
     def test_chunking_moves_no_hit(self, data):
-        # Step edges fall inside and across the 1024-row phase table blocks.
+        # Block edges fall inside and across the runs of 1024 phase table rows.
         if data.draw(st.booleans()):
             seed = data.draw(st.integers(0, 2**32 - 1))
             G, (a, b) = random_twin_graph(np.random.default_rng(seed))
@@ -531,9 +627,9 @@ class TestPgstScan:
         # Both forms round mu_j t, each by at most eps |mu_j| t.
         rounding = 2.0 * np.finfo(float).eps * np.abs(s.values).max()
         ladders = []
-        for step in (1, 7, 1000, 1024, 1025, 8192):
+        for block in (1, 7, 1000, 1024, 1025, 8192):
             with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(walk, "_PGST_STEP", step)
+                mp.setattr(walk, "_SWEEP_BLOCK", block)
                 w = pgst_scan(G, a, b, q_max)
             ladders.append([(h.epsilon, h.q, h.time) for h in w.epsilon_ladder])
             for h in w.epsilon_ladder:
