@@ -43,7 +43,6 @@ from .walk import (
     TransferReport,
     _spectrum_of,
     check_lpst,
-    check_periodic,
     pgst_scan,
 )
 
@@ -195,8 +194,8 @@ def verify_family(
 
     PGST when time is None: the witness scans q <= q_max for every
     DEFAULT_EPSILONS threshold and passes once the smallest is reached.
-    Otherwise it passes at fidelity >= 1 - tol: PERIODIC (a == b) through
-    check_periodic, LPST through check_lpst. tol must lie in (0, 1) and
+    Otherwise check_lpst must pass it at time with fidelity >= 1 - tol:
+    PERIODIC when a == b, LPST otherwise. tol must lie in (0, 1) and
     q_max be at least 1, whatever the witnesses, and every witness's
     vertices be vertices of the graph; all are read before any solve.
     Raises WitnessFailedError at the first witness the numerics do not
@@ -218,8 +217,6 @@ def verify_family(
                 )
             report = TransferReport(TransferKind.PGST, a, b, hit.time, hit.fidelity,
                                     hit.phase, eps)
-        elif a == b:
-            report = check_periodic(fi.graph, a, time, tol)
         else:
             report = check_lpst(fi.graph, a, b, time, tol)
         if report.kind is TransferKind.NONE:

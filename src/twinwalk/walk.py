@@ -3,7 +3,8 @@ propagator of a twin-edge perturbation.
 
 Every verdict reads one entry, U(t)[b, a] = sum_j exp(-i mu_j t) E_j[b, a],
 through transfer_amplitudes, which sums the spectrum's transfer coefficients
-of (a, b) at a vector of times. Whole propagators are formed only where a
+of (a, b) at a vector of times; check_lpst reads it for any pair, so it
+checks periodicity too, as a == b. Whole propagators are formed only where a
 matrix is the point: for a twin pair (a, b) the propagator of the edge
 perturbed graph factors in closed form,
 
@@ -177,8 +178,9 @@ def _verdict(s: Spectrum, a: int, b: int, t: float, tol: float) -> TransferRepor
 def check_lpst(
     G: WeightedGraph, a: int, b: int, t: float, tol: float = DEFAULT_LPST_TOL
 ) -> TransferReport:
-    """Evaluate the walk at time t and report whether it transfers a -> b."""
-    _check_distinct(a, b, "state transfer needs two distinct vertices")
+    """Evaluate the walk at time t and report whether it transfers a -> b:
+    LPST (a != b) or PERIODIC (a == b), else NONE; t is read before the solve."""
+    t = _check_real(t, -np.inf, np.inf, _TIME_RULE)
     s, a, b, tol = _solve(G, a, b, tol)
     return _verdict(s, a, b, t, tol)
 
@@ -187,8 +189,7 @@ def check_periodic(
     G: WeightedGraph, p: int, t: float, tol: float = DEFAULT_LPST_TOL
 ) -> TransferReport:
     """Report whether the walk returns to vertex p at time t."""
-    s, p, _, tol = _solve(G, p, p, tol)
-    return _verdict(s, p, p, t, tol)
+    return check_lpst(G, p, p, t, tol)
 
 
 def pst_time_scan(
@@ -217,7 +218,7 @@ def pst_time_scan(
     perfect transfer |f| rounds to 1 over a window about 1e-8 wide, but the
     sign of its slope stays resolved there, so the reported time is stable
     to rounding. Source and target must differ, as |U(t)[p, p]| -> 1 as
-    t -> 0; check_periodic and pgst_scan(G, p, p) test returns to p.
+    t -> 0; check_lpst(G, p, p, t) and pgst_scan(G, p, p) test returns to p.
 
     _sweep reads the grid; transfer_amplitudes reads again each sample within
     2 _sweep_error of the level or of its block's best, or above, so the grid

@@ -14,13 +14,15 @@ one whose first transfer falls between 20 000 evenly spaced samples of
 (0, 4 pi] (K16 minus a 4-edge matching at weight 1000, perfect at
 pi/2000), and one on K5 over (0, 20000], 100 000 samples in 13 sweep
 blocks, whose best time lies among thousands of peaks of equal height
-(NONE, exit 1). Five `rejected` cases pin inputs
-the library rejects: a pgst scan whose phase table passes pi/eps, an
-integer past int()'s 4300-digit limit in a document and in a "K<n>" base
-name, a negative seed, and a q_max below 1 for a family with no PGST
-witness. Each case stores what the command
-printed with the code checked out when this script runs, so record on the
-code whose output the corpus should pin, then commit the JSON files.
+(NONE, exit 1). Two `check` cases ask a vertex for itself, which the
+README's check does not: C4 from 1 to 1 at 2 pi (PERIODIC, exit 0), and K5
+from 0 to 0 at time 1 (NONE, fidelity about 0.88, exit 1). Five `rejected`
+cases pin inputs the library rejects: a pgst scan whose phase table passes
+pi/eps, an integer past int()'s 4300-digit limit in a document and in a
+"K<n>" base name, a negative seed, and a q_max below 1 for a family with no
+PGST witness. Each case stores what the command printed with the code
+checked out when this script runs, so record on the code whose output the
+corpus should pin, then commit the JSON files.
 
 A case is written only when it is new or no longer matches its stored file
 under tests/test_golden.py's assert_matches (argv and inputs included), so
@@ -88,6 +90,13 @@ SCANS = [
                   "--mode", "pst", "--t-max", "20000"], {"graph.json": K5}),
 ]
 
+CHECKS = [
+    ("periodic-c4", ["check", "--input", "graph.json", "--from", "1", "--to", "1",
+                     "--pi-multiple", "2"], {"graph.json": C4}),
+    ("return-k5", ["check", "--input", "graph.json", "--from", "0", "--to", "0",
+                   "--time", "1"], {"graph.json": K5}),
+]
+
 FAMILY_INPUTS = [
     ("k4n-16", {"family": "k4n_matching", "size": 16,
                 "matching": [[0, 1], [2, 3], [4, 5], [6, 7]]}),
@@ -113,6 +122,8 @@ def cases() -> list[tuple[str, str, list[str], dict]]:
                     {"doc.json": doc}))
     for name, argv, inputs in SCANS:
         out.append((f"scan-{name}", "scan", argv, inputs))
+    for name, argv, inputs in CHECKS:
+        out.append((f"check-{name}", "check", argv, inputs))
     for name, argv, inputs in REJECTED:
         out.append((f"rejected-{name}", "rejected", argv, inputs))
     return out

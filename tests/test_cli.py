@@ -122,8 +122,10 @@ class TestCheck:
 
     def test_time_required(self, tmp_path, capsys):
         path = write(tmp_path, "g.json", C4)
-        code = main(["check", "--input", path, "--from", "0", "--to", "2"])
-        assert code == 2
+        with pytest.raises(SystemExit) as info:  # argparse: one of the two is required
+            main(["check", "--input", path, "--from", "0", "--to", "2"])
+        assert info.value.code == 2
+        assert "--time --pi-multiple" in capsys.readouterr().err
 
     def test_tol_of_one_or_more_exits_2(self, tmp_path, capsys):
         # at --tol 1.5, C4 0 -> 1 at t = 0.1 (fidelity 0.0993) passed as LPST
@@ -144,12 +146,16 @@ class TestCheck:
         ],
     )
     def test_non_finite_numbers_exit_2(self, tmp_path, capsys, argv, option):
+        """Each option's value reaches the library function that reads it."""
+        rule = {"--time": "t must be finite", "--pi-multiple": "t must be finite",
+                "--tol": "tol must lie in (0, 1)",
+                "--t-max": "t_max must be positive and finite"}[option]
         path = write(tmp_path, "g.json", C4)
         code = main([argv[0], "--input", path, *argv[1:]])
         captured = capsys.readouterr()
         assert code == 2
         assert captured.out == ""
-        assert option in json.loads(captured.err)["error"]
+        assert json.loads(captured.err)["error"].startswith(rule)
 
 
 class TestScan:

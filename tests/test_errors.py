@@ -281,7 +281,7 @@ REJECTED = [
     ("edge_array_vertices", lambda: perturb_edge(c4(), arr(0, 1), arr(2, 3), 1.0),
      "vertex must be an integer"),
     ("lpst_equal_array_vertices", lambda: check_lpst(c4(), arr(0, 1), arr(0, 1), 1.0),
-     "state transfer needs two distinct vertices"),
+     "vertex must be an integer"),
     ("lpst_array_vertices", lambda: check_lpst(c4(), arr(0, 1), arr(2, 3), 1.0),
      "vertex must be an integer"),
     ("scan_equal_array_vertices", lambda: pst_time_scan(c4(), arr(0, 1), arr(0, 1), 1.0),
@@ -352,7 +352,7 @@ def test_vertex_too_long_to_print_is_out_of_range():
 
 
 @pytest.mark.parametrize("site", [graphs.rank_one_matrix, graphs.perturb_edge,
-                                  graphs.is_twin_pair, walk.check_lpst, walk.pst_time_scan],
+                                  graphs.is_twin_pair, walk.pst_time_scan],
                          ids=lambda site: site.__name__)
 def test_distinct_vertices_have_one_owner(site):
     """Each site rejects equal vertices through graphs._check_distinct, and
@@ -495,8 +495,10 @@ NO_SOLVE = [
     ("lpst_tol", lambda: check_lpst(c4(), 0, 2, 1.0, tol=1.0)),
     ("lpst_vertex", lambda: check_lpst(c4(), 0, 4, 1.0)),
     ("lpst_float_vertex", lambda: check_lpst(c4(), 0.5, 2, 1.0)),
+    ("lpst_time", lambda: check_lpst(c4(), 0, 2, math.nan)),
     ("periodic_tol", lambda: check_periodic(c4(), 0, 1.0, tol=0.0)),
     ("periodic_vertex", lambda: check_periodic(c4(), -1, 1.0)),
+    ("periodic_time", lambda: check_periodic(c4(), 0, math.nan)),
     ("scan_tol", lambda: pst_time_scan(c4(), 0, 2, 1.0, tol="x")),
     ("scan_vertex", lambda: pst_time_scan(c4(), 4, 0, 1.0)),
     ("pgst_vertex", lambda: pgst_scan(c4(), 0, 9, q_max=10)),
@@ -507,7 +509,8 @@ NO_SOLVE = [
 
 @pytest.mark.parametrize("call", [r[1] for r in NO_SOLVE], ids=[r[0] for r in NO_SOLVE])
 def test_rejected_tol_or_vertex_costs_no_eigensolve(monkeypatch, call):
-    """tol and both vertices are checked before the Laplacian is solved."""
+    """tol, both vertices and a check's time are read before the Laplacian
+    is solved."""
     monkeypatch.setattr(walk, "eigendecompose", _solve_refused)
     with pytest.raises(AssertionError, match="eigendecompose was called"):
         check_lpst(c4(), 0, 2, 1.0)  # the patch is the solve the checks use

@@ -284,15 +284,14 @@ def test_only_check_vertex_raises_out_of_range():
 def test_only_graphs_tests_number_types():
     """The JSON reader checks shape only; graphs._check_int owns the integer
     rule, graphs._check_real the real-number rule (weights, alpha, tol,
-    t_max, epsilons), and cli.main reads its own float options. An
+    t, t_max, epsilons, and every float option of the command line). An
     isinstance test against int, float or bool anywhere else (a value rule
-    back in jsonio, or a hand-rolled real check) fails here."""
+    back in jsonio or cli, or a hand-rolled real check) fails here."""
     tests = _owners(lambda n: isinstance(n, ast.Call)
                     and ast.unparse(n.func) == "isinstance"
                     and {"int", "float", "bool"} & {x.id for x in ast.walk(n.args[1])
                                                     if isinstance(x, ast.Name)})
-    assert sorted(tests) == ["cli.main", "graphs._check_int", "graphs._check_int",
-                             "graphs._check_real"]
+    assert sorted(tests) == ["graphs._check_int", "graphs._check_int", "graphs._check_real"]
 
 
 def test_no_reader_value_is_thrown_away():

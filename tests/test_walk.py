@@ -214,10 +214,21 @@ class TestChecks:
             check_periodic(cycle_graph(4), 0, t)
 
     def test_check_lpst_errors(self):
-        with pytest.raises(InputError, match="two distinct vertices"):
-            check_lpst(cycle_graph(4), 1, 1, PI)
+        assert check_lpst(cycle_graph(4), 1, 1, PI) == check_periodic(cycle_graph(4), 1, PI)
         with pytest.raises(ValueError):
             check_lpst(cycle_graph(4), 0, 1, PI, tol=0.0)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.data())
+    def test_equal_vertices_check_periodicity(self, seed, data):
+        G, _ = random_twin_graph(np.random.default_rng(seed))
+        p = data.draw(st.integers(0, G.n - 1))
+        t = data.draw(st.floats(-50.0, 50.0))
+        tol = data.draw(st.floats(1e-12, 0.5))
+        r = check_lpst(G, p, p, t, tol)
+        assert r == check_periodic(G, p, t, tol)
+        assert r.kind is (TransferKind.PERIODIC if r.fidelity >= 1.0 - tol
+                          else TransferKind.NONE)
 
     def test_periodic_integral_at_two_pi(self):
         for G in (complete(4), cycle_graph(4), complete(9)):
