@@ -33,8 +33,7 @@ class CirculantSpec:
 
 def _residues(n: int, S) -> frozenset[int]:
     """The integers S as a frozenset of residues mod n >= 2; else InputError."""
-    if (n := _check_int(n, "modulus")) < 2:
-        raise InputError(f"modulus must be at least 2, got {_shown(n)}")
+    n = _check_int(n, "modulus", 2)
     try:
         residues = iter(S)
     except TypeError as exc:  # not iterable

@@ -202,8 +202,7 @@ def verify_family(
     confirm; otherwise one report per witness, with int vertices and float tol.
     """
     tol = _check_real(tol, 0.0, 1.0, "tol must lie in (0, 1)")
-    if (q_max := _check_int(q_max, "q_max")) < 1:
-        raise InputError("q_max must be at least 1")
+    q_max = _check_int(q_max, "q_max", 1)
     witnesses = [(*_check_vertex(fi.graph.n, w.a, w.b), w.time) for w in fi.expected_witnesses]
     eps = DEFAULT_EPSILONS[-1]
     reports = []

@@ -16,10 +16,13 @@ import numpy as np
 from .errors import IndexOutOfRangeError, InputError
 
 
-def _check_int(value, what: str) -> int:
-    """int(value) for a Python or numpy integer (not a bool); else InputError."""
+def _check_int(value, what: str, least: int | None = None) -> int:
+    """int(value) for a Python or numpy integer (not a bool), at least `least`
+    when that is given; else InputError."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise InputError(f"{what} must be an integer, got {value!r}")
+    if least is not None and value < least:
+        raise InputError(f"{what} must be at least {least}, got {_shown(value)}")
     return int(value)
 
 
@@ -73,8 +76,7 @@ def _as_array(value) -> np.ndarray:
 def _zero_weights(n: int) -> np.ndarray:
     """n x n zeros; InputError unless n is an integer >= 1 and numpy can
     allocate them."""
-    if (n := _check_int(n, "vertex count")) < 1:
-        raise InputError(f"vertex count must be positive, got {_shown(n)}")
+    n = _check_int(n, "vertex count", 1)
     try:
         return np.zeros((n, n))
     except (MemoryError, ValueError) as exc:

@@ -10,11 +10,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import InputError
 from .graphs import (
     WeightedGraph,
     _check_int,
-    _shown,
     laplacian,
     list_twin_pairs,
     perturb_edge,
@@ -65,10 +63,8 @@ def run_identity_checks(
     otherwise every trial draws a fresh random graph with a planted twin
     pair.
     """
-    if (trials := _check_int(trials, "trials")) < 1:
-        raise InputError("trials must be at least 1")
-    if (seed := _check_int(seed, "seed")) < 0:
-        raise InputError(f"seed {_shown(seed)}: expected non-negative integer")
+    trials = _check_int(trials, "trials", 1)
+    seed = _check_int(seed, "seed", 0)
     rng = np.random.default_rng(seed)
     devs = dict.fromkeys(
         ("perturbation_laplacian", "twin_commutation", "rank_one_power_law",

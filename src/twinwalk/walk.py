@@ -139,7 +139,7 @@ def perturbed_propagator(
     M = _real_matrix(M)
     if M.shape != (s.n, s.n):
         raise InputError(f"M of shape {M.shape} is not {s.n} x {s.n}")
-    alpha = _check_real(alpha, -np.inf, np.inf, "alpha must be finite")
+    alpha = _check_real(alpha, -np.inf, np.inf, "perturbation alpha must be finite")
     t = _check_real(t, -np.inf, np.inf, _TIME_RULE)
     U = propagator(s, t)
     return U @ (np.eye(s.n) + 0.5 * (_phases(2.0 * alpha, t) - 1.0) * M)
@@ -167,8 +167,8 @@ def _solve(G: WeightedGraph, a: int, b: int, tol: float = DEFAULT_LPST_TOL) -> t
 
 
 def _verdict(s: Spectrum, a: int, b: int, t: float, tol: float) -> TransferReport:
-    """LPST (a != b) or PERIODIC (a == b) at fidelity >= 1 - tol, else NONE."""
-    t = _check_real(t, -np.inf, np.inf, _TIME_RULE)
+    """LPST (a != b) or PERIODIC (a == b) at fidelity >= 1 - tol, else NONE,
+    at a time t its caller has read as a float."""
     mag, phase = _polar(transfer_amplitudes(s, a, b, np.array([t]))[0])
     hit = TransferKind.LPST if a != b else TransferKind.PERIODIC
     kind = hit if mag >= 1.0 - tol else TransferKind.NONE
@@ -224,7 +224,8 @@ def pst_time_scan(
     2 _sweep_error of the level or of its block's best, or above, so the grid
     maxima and every bracket are those of a sample-by-sample sweep."""
     _check_distinct(a, b, "state transfer needs two distinct vertices")
-    t_max = _check_real(t_max, 0.0, np.inf, "t_max must be positive and finite")
+    t_max = _check_real(t_max, _SCAN_GRID * 5e-324, np.inf,  # else every sample is at t = 0
+                        "t_max must be positive and finite, and not too small to sample")
     s, a, b, tol = _solve(G, a, b, tol)
     _phases(s.values, t_max)  # the phase rule bounds t_max B below 2 pi/eps
     spread = float(s.values[-1] - s.values[0])
@@ -294,8 +295,7 @@ def pgst_scan(
     _sweep evaluates the times (q + 1/4) 2 pi, the floats (4q+1) pi/2, a whole
     block at a time, so InputError once a block holds a phase past pi/eps.
     """
-    if (q_max := _check_int(q_max, "q_max")) < 1:
-        raise InputError("q_max must be at least 1")
+    q_max = _check_int(q_max, "q_max", 1)
     try:
         pending, hi = list(epsilons), 1.0
     except TypeError as exc:  # not iterable

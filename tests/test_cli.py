@@ -127,6 +127,19 @@ class TestCheck:
         assert info.value.code == 2
         assert "--time --pi-multiple" in capsys.readouterr().err
 
+    def test_negative_exponent_needs_an_equals_sign(self, tmp_path, capsys):
+        # argparse takes "-1e3" after a space for an option, not --time's value
+        path = write(tmp_path, "g.json", C4)
+        argv = ["check", "--input", path, "--from", "0", "--to", "2"]
+        with pytest.raises(SystemExit) as info:
+            main([*argv, "--time", "-1e3"])
+        assert info.value.code == 2
+        assert "argument --time: expected one argument" in capsys.readouterr().err
+        code, obj = run(capsys, *argv, "--time=-1e3")
+        assert (code, obj["kind"], obj["time"]) == (1, "NONE", -1000.0)
+        code, obj = run(capsys, *argv, "--pi-multiple=-5e-1")
+        assert (code, obj["kind"]) == (0, "LPST")
+
     def test_tol_of_one_or_more_exits_2(self, tmp_path, capsys):
         # at --tol 1.5, C4 0 -> 1 at t = 0.1 (fidelity 0.0993) passed as LPST
         path = write(tmp_path, "g.json", C4)
@@ -289,7 +302,7 @@ class TestFamily:
                      {"family": "k4n_matching", "size": 8, "matching": [[0, 4]]})
         code = main(["family", "--input", path, "--q-max", q_max])
         captured = capsys.readouterr()
-        assert assert_input_error(code, captured) == "q_max must be at least 1"
+        assert assert_input_error(code, captured) == f"q_max must be at least 1, got {q_max}"
         assert captured.err.count("\n") == 1
 
     def test_solver_failure_exits_3(self, tmp_path, capsys, monkeypatch):
@@ -390,7 +403,7 @@ class TestErrorsAndOutput:
             (["twins"], {"circulant": {"n": 8, "S": [1, 3, 5, 7]}, "n": 8},
              "circulant document has unknown keys ['n']"),
             (["family"], {"family": "k4n_matching", "size": -4},
-             "vertex count must be positive, got -4"),
+             "vertex count must be at least 1, got -4"),
         ],
     )
     def test_unknown_keys_and_empty_sizes_exit_2(self, tmp_path, capsys, argv, doc, phrase):

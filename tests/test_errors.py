@@ -128,12 +128,15 @@ REJECTED = [
      r"tol must lie in \(0, 1\)"),
     ("verdict_t", lambda: check_periodic(c4(), 0, math.nan), "t must be finite"),
     ("t_max", lambda: pst_time_scan(c4(), 0, 2, -1.0), "t_max must be positive"),
+    # t_max / 20000 rounds to 0: every sample was at t = 0, reported as NONE
+    ("t_max_underflow", lambda: pst_time_scan(c4(), 0, 2, 1e-320),
+     "t_max must be positive and finite, and not too small to sample"),
     ("q_max", lambda: pgst_scan(c4(), 0, 2, q_max=0), "q_max must be at least 1"),
     ("epsilons", lambda: pgst_scan(c4(), 0, 2, epsilons=(0.1, 0.2)),
      "epsilons must be strictly decreasing"),
     ("complete_graph", lambda: complete_graph(-4),
-     "vertex count must be positive, got -4"),
-    ("build_graph", lambda: build_graph(0, []), "vertex count must be positive, got 0"),
+     "vertex count must be at least 1, got -4"),
+    ("build_graph", lambda: build_graph(0, []), "vertex count must be at least 1, got 0"),
     # vertices and vertex counts must be integers: each of these raised a
     # builtin IndexError or TypeError out of numpy
     ("lpst_float_vertex", lambda: check_lpst(c4(), 0, 1.5, 1.0),
@@ -155,7 +158,7 @@ REJECTED = [
      lambda: family_from_obj({"family": "quarter_weight", "base": "K" + "1" * 5000}),
      r"\(4300 digits\)"),
     ("negative_seed", lambda: run_identity_checks(None, -1, 1),
-     "seed -1: expected non-negative integer"),
+     "seed must be at least 0, got -1"),
     # each value rule has one owner in the library, which the JSON reader no
     # longer duplicates; every row below raised a builtin exception or
     # nothing at all
@@ -250,7 +253,7 @@ REJECTED = [
     ("complete_graph_digits", lambda: complete_graph(10**5000),
      "vertex count <16610-bit integer> is too large"),
     ("seed_digits", lambda: run_identity_checks(None, -10**5000, 1),
-     "seed <16610-bit integer>: expected"),
+     "seed must be at least 0, got <16610-bit integer>"),
     ("modulus_digits", lambda: CirculantSpec(-10**5000, frozenset()),
      "modulus must be at least 2, got <16610-bit integer>"),
     ("gcd_class_modulus_digits", lambda: gcd_class(10**5000, 3),
@@ -365,7 +368,7 @@ def test_distinct_vertices_have_one_owner(site):
     assert {"a", "b"} not in operands
 
 
-@pytest.mark.parametrize("site", [spectral.Spectrum.unitary, walk._verdict,
+@pytest.mark.parametrize("site", [spectral.Spectrum.unitary, walk.check_lpst,
                                   walk.perturbed_propagator, spectral.matrix_exp_oracle],
                          ids=lambda site: site.__qualname__)
 def test_single_time_has_one_reader(site):
@@ -376,6 +379,25 @@ def test_single_time_has_one_reader(site):
     first = next(stmt for stmt in body if any(
         isinstance(node, ast.Name) and node.id == "t" for node in ast.walk(stmt)))
     assert ast.unparse(first).startswith("t = _check_real(t, ")
+
+
+def test_integer_floors_have_one_reader():
+    """graphs._check_int(value, what, least) owns every integer floor: outside
+    it and _check_vertex's range test, no comparison holds a _check_int call
+    or a walrus bound to one."""
+    def reads_int(node):
+        call = node.value if isinstance(node, ast.NamedExpr) else node
+        return isinstance(call, ast.Call) and ast.unparse(call.func) == "_check_int"
+
+    owners = {("graphs.py", "_check_int"), ("graphs.py", "_check_vertex")}
+    found = set()
+    for path in sorted(SRC.glob("*.py")):
+        for func in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(func, ast.FunctionDef) and (path.name, func.name) not in owners:
+                found |= {f"{path.name}:{node.lineno}" for compare in ast.walk(func)
+                          if isinstance(compare, ast.Compare)
+                          for node in ast.walk(compare) if reads_int(node)}
+    assert not found
 
 
 def test_checked_integers_are_not_converted_again():

@@ -35,7 +35,7 @@ class TestCompleteGraph:
         assert np.array_equal(L, 4 * np.eye(4) - np.ones((4, 4)))
 
     def test_rejects_empty(self):
-        with pytest.raises(InputError, match="vertex count must be positive, got 0"):
+        with pytest.raises(InputError, match="vertex count must be at least 1, got 0"):
             complete_graph(0)
 
 

@@ -5,10 +5,19 @@ verdict, whatever the verdict is.
   check_lpst (a != b and a == b) and pst_time_scan report the same kind and
   fidelity on the relabelled pair.
 - Scaling every weight by c > 0 scales the Laplacian, so the walk on cG at
-  time t / c is the walk on G at time t.
+  time t / c is the walk on G at time t, and a pst scan of cG finds G's
+  first transfer t* at t* / c.
+- The weighted complement c(J - I) - G, with c at least every weight, has
+  Laplacian c(nI - J) - L(G), and J commutes with L(G); so at times t with
+  c n t in 2 pi Z its fidelities are G's (Alvir et al., "Perfect state
+  transfer in Laplacian quantum walk", J. Algebraic Combin. 2016).
+- A pair inside one component of a disjoint union gets the component's
+  verdict.
 
 Graphs are random twin graphs, whose verdicts are mostly NONE, and K_{4m}
-minus a matching at pi/2, where pairs transfer and other vertices return.
+minus a matching at pi/2, where pairs transfer and other vertices return:
+K_{4m} minus a matching is the 1-complement of the matching, whose edges
+transfer at pi/2 as K2 does, and 4m pi/2 lies in 2 pi Z.
 """
 
 from __future__ import annotations
@@ -16,10 +25,11 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from twinwalk import (TransferKind, WeightedGraph, check_lpst, k4n_remove_matching,
-                      pst_time_scan)
+from twinwalk import (TransferKind, WeightedGraph, build_graph, check_lpst,
+                      k4n_remove_matching, pst_time_scan)
 from twinwalk.identities import random_twin_graph
 
 EPS = 1e-12
@@ -81,6 +91,83 @@ def test_scaling_the_weights_scales_time(case, c):
     got = check_lpst(WeightedGraph(c * G.matrix), a, b, t / c)
     assert got.time == t / c
     assert_same_verdict(got, check_lpst(G, a, b, t))
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.integers(1, 2), st.data(), st.sampled_from([0.5, 3.0, 1e3]))
+def test_scaling_the_weights_scales_the_scan(m, data, c):
+    order = data.draw(st.permutations(range(4 * m)))
+    matching = list(zip(order[0:2 * m:2], order[1:2 * m:2]))
+    G = k4n_remove_matching(4 * m, matching).graph
+    a, b = data.draw(st.sampled_from(matching))
+    want = pst_time_scan(G, a, b, 4 * math.pi)
+    got = pst_time_scan(WeightedGraph(c * G.matrix), a, b, 4 * math.pi)
+    assert want.kind is got.kind is TransferKind.LPST
+    assert got.time == pytest.approx(want.time / c, rel=1e-12)
+    assert abs(got.fidelity - want.fidelity) <= EPS
+
+
+def complement(G: WeightedGraph, c: float) -> WeightedGraph:
+    """c(J - I) - G: weight c - w on every pair, for c at least every weight w."""
+    return WeightedGraph(c * (1.0 - np.eye(G.n)) - G.matrix)
+
+
+@settings(max_examples=40, deadline=None)
+@given(cases(), st.just(0.0) | st.floats(0.1, 1.0), st.integers(1, 5))
+def test_the_complement_keeps_the_check_at_its_period(case, extra, k):
+    """c is the largest weight, which removes that edge, or at least 0.1
+    above it; nearer, the complement's weights nearly vanish, which the
+    test below shows fails."""
+    G, a, b, _ = case
+    assume(G.matrix.any())  # an edgeless G at c = 0 has no such t
+    c = G.matrix.max() + extra
+    t = 2 * math.pi * k / (c * G.n)  # c n t in 2 pi Z
+    assert_same_verdict(check_lpst(complement(G, c), a, b, t), check_lpst(G, a, b, t))
+
+
+@pytest.mark.xfail(strict=True, reason="eigendecompose merges eigenvalues within "
+                   "DEFAULT_CLUSTER_TOL * ||L||_F of each other, here 0 and 4e-9")
+def test_the_complement_keeps_the_check_when_its_weights_nearly_vanish():
+    """K4 minus an edge at c = 1 + 1e-9: the complement weighs 1e-9 but on
+    the removed pair, its eigenvalues 0, 4e-9, 4e-9 and 2 + 4e-9 form two
+    clusters, and its return to vertex 0 at t = 2 pi / (4c) reads 5.2e-10
+    where G's reads 9e-17 (numpy's eigh gives 3e-16 and 7e-16)."""
+    G = build_graph(4, [(0, 2, 1.0), (0, 3, 1.0), (1, 2, 1.0), (1, 3, 1.0), (2, 3, 1.0)])
+    c = 1.0 + 1e-9
+    t = 2 * math.pi / (c * G.n)
+    assert_same_verdict(check_lpst(complement(G, c), 0, 0, t), check_lpst(G, 0, 0, t))
+
+
+def test_k4m_minus_a_matching_is_the_complement_of_the_matching():
+    """The paper's K_{4m} family: each removed pair transfers at pi/2 as the
+    K2 it forms in the matching graph, and every other vertex returns."""
+    for m in (1, 2, 3):
+        matching = [(2 * i, 2 * i + 1) for i in range(m)]
+        fi = k4n_remove_matching(4 * m, matching)
+        K2s = build_graph(4 * m, [(u, v, 1.0) for u, v in matching])
+        assert complement(K2s, 1.0) == fi.graph
+        for w in fi.expected_witnesses:
+            got = check_lpst(fi.graph, w.a, w.b, w.time)
+            assert got.kind is not TransferKind.NONE
+            assert_same_verdict(got, check_lpst(K2s, w.a, w.b, w.time))
+
+
+def disjoint_union(G: WeightedGraph, H: WeightedGraph) -> WeightedGraph:
+    """G on vertices 0..G.n-1 and H on the G.n vertices after them."""
+    A = np.zeros((G.n + H.n, G.n + H.n))
+    A[:G.n, :G.n], A[G.n:, G.n:] = G.matrix, H.matrix
+    return WeightedGraph(A)
+
+
+@settings(max_examples=40, deadline=None)
+@given(cases(), cases(), st.booleans())
+def test_a_component_keeps_its_check_in_a_disjoint_union(case, other, first):
+    H, a, b, t = case
+    G = other[0]
+    union, shift = (disjoint_union(H, G), 0) if first else (disjoint_union(G, H), G.n)
+    got = check_lpst(union, a + shift, b + shift, t)
+    assert (got.source, got.target) == (a + shift, b + shift)
+    assert_same_verdict(got, check_lpst(H, a, b, t))
 
 
 def test_the_cases_reach_every_check_kind():

@@ -403,6 +403,12 @@ class TestPstTimeScan:
         with pytest.raises(ValueError):
             pst_time_scan(cycle_graph(4), 0, 2, -1.0)
 
+    def test_least_t_max_samples_inside_the_horizon(self):
+        # just above 20000 * 5e-324, the step is the least subnormal; below,
+        # t_max / 20000 rounds to 0 and pst_time_scan refuses t_max
+        r = pst_time_scan(cycle_graph(4), 0, 2, 1e-319)
+        assert 0 < r.time <= 1e-319
+
     def test_equal_vertices_rejected(self):
         # C4 returns to 0 only at pi; a scan over (0, 1] used to report a
         # return at t ~ 1e-24, where the walk has not left the vertex
@@ -486,6 +492,35 @@ class TestSweep:
     ])
     def test_families_report_as_a_direct_sweep(self, G, a, b):
         assert repr(pst_time_scan(G, a, b, 4 * PI)) == repr(self.direct_scan(G, a, b, 4 * PI))
+
+    def test_samples_near_the_level_are_evaluated_again(self, monkeypatch):
+        # K2 has |f| = |sin t|. At this t_max the step is just under pi/7, the
+        # two samples around pi/2 sit less than 1e-3 above the level, and a
+        # later peak in block 0 samples above 0.999. Lowered by delta, with
+        # _sweep_error returning delta, those two sit below the level but
+        # within 2 delta of it, and more than 2 delta below the block's best;
+        # only the mask's level term evaluates them again, so the scan still
+        # reports pi/2 and not 3 pi/2.
+        G, t_max, delta = build_graph(2, [(0, 1, 1.0)]), 8975.539187285049, 0.01
+        step = t_max / walk._SCAN_GRID
+        level = 1.0 - (2.0 * step) ** 2 / 32.0
+        mags = np.abs(np.sin(step * np.arange(1, walk._SWEEP_BLOCK + 1)))
+        assert np.all((0 < mags[2:4] - level) & (mags[2:4] - level < 1e-3))
+        assert mags.max() > 0.999
+        sweep = walk._sweep
+
+        def lowered(s, c, count, h, offset):
+            for i0, times, amps, mags in sweep(s, c, count, h, offset):
+                if i0 == 0:
+                    mags[2:4] -= delta  # the samples at 3 h and 4 h
+                yield i0, times, amps, mags
+
+        monkeypatch.setattr(walk, "_sweep", lowered)
+        monkeypatch.setattr(walk, "_sweep_error", lambda s, c, t: delta)
+        r = pst_time_scan(G, 0, 1, t_max)
+        assert r.kind is TransferKind.LPST
+        assert r.time == pytest.approx(PI / 2, rel=1e-12)
+        assert repr(r) == repr(self.direct_scan(G, 0, 1, t_max))
 
     def test_few_samples_are_evaluated_again(self, monkeypatch):
         # A dense K16 near the sample cap: the mask of exact samples holds a
