@@ -134,7 +134,7 @@ def _cmd_verify_identities(args: argparse.Namespace) -> tuple[dict, bool]:
     return {
         "seed": args.seed,
         "trials": args.trials,
-        "identities": {k: _sig(v, 6) for k, v in devs.items()},
+        "identities": {k: None if v is None else _sig(v, 6) for k, v in devs.items()},
     }, True
 
 

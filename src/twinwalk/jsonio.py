@@ -67,7 +67,7 @@ def graph_from_obj(obj: Any) -> WeightedGraph:
 def _base_graph_from(value: Any) -> WeightedGraph:
     """Family base: "K<n>" shorthand or a nested graph/circulant object."""
     if isinstance(value, str):
-        m = re.fullmatch(r"K(\d+)", value)
+        m = re.fullmatch(r"K([0-9]+)", value)  # ASCII digits: \d takes any script's
         if not m:
             raise InputError(f'unrecognized base graph name "{value}"')
         try:

@@ -5,14 +5,17 @@ The eigensolver is threshold cyclic Jacobi: robust at the small dimensions
 this library targets (n <= 64) and guaranteed to produce orthogonal
 eigenvectors on symmetric input. It rotates every entry above eps ||L||_F,
 below which a rotation would only move rounding noise, and stops after the
-first sweep that rotates nothing. A read-only Spectrum keeps the sorted
-eigenbasis and merges eigenvalues closer than a clustering tolerance into one
-distinct value; transfer coefficients and propagators are derived from the
-basis here, so degenerate eigenspaces only enter through sums over their
-clusters. Every propagator entry U(t)[b, a] a verdict reads is a sum over
-the transfer coefficients of (a, b), which also check that both vertices
-are in range. One time t is read by graphs._check_real (message _TIME_RULE),
-an array of times by _phases, which bounds every phase mu t.
+first sweep that rotates nothing. Each rotation turns two rows of one array
+[A | V^T] in place, with the same floating-point operations as a statement
+that builds the new rows, so the spectra are the same bit for bit. A
+read-only Spectrum keeps the sorted eigenbasis and merges eigenvalues closer
+than a clustering tolerance into one distinct value; transfer coefficients
+and propagators are derived from the basis here, so degenerate eigenspaces
+only enter through sums over their clusters. Every propagator entry
+U(t)[b, a] a verdict reads is a sum over the transfer coefficients of
+(a, b), which also check that both vertices are in range. One time t is
+read by graphs._check_real (message _TIME_RULE), an array of times by
+_phases, which bounds every phase mu t.
 """
 
 from __future__ import annotations
@@ -99,27 +102,35 @@ def _jacobi(L: np.ndarray, fro: float) -> tuple[np.ndarray, np.ndarray]:
     A sweep rotates each entry with |a_pq| > eps fro (strict: a zero L rotates none);
     a smaller one only moves rounding noise, tilting a vector by <= eps fro / gap."""
     n = L.shape[0]
-    B = np.hstack((L, np.eye(n)))  # [A | V^T]: one statement turns a row of both
+    B = np.hstack((L, np.eye(n)))  # [A | V^T]: one rotation turns a row of both
     A = B[:, :n]
+    rows, heads, cols = list(B), list(A), list(A.T)  # B[p], A[p] and A[:, p], as views
+    cBp, sBq = np.empty(2 * n), np.empty(2 * n)  # c Bp and s Bq while rows p, q turn
     skip = np.finfo(float).eps * fro
     for _ in range(_JACOBI_MAX_SWEEPS):
         rotated = False
         for p in range(n - 1):
-            Bp = B[p]
+            Bp = rows[p]
             for q in range(p + 1, n):
-                apq = Bp[q]
+                apq = Bp.item(q)
                 if abs(apq) <= skip:
                     continue
                 rotated = True
-                Bq = B[q]
-                app, aqq = Bp[p], Bq[q]
+                Bq = rows[q]
+                app, aqq = Bp.item(p), Bq.item(q)
                 # atan2, not the inner rotation (|theta| <= pi/4), sorts the pair:
                 # a_qq - a_pp becomes hypot(a_qq - a_pp, 2 a_pq) >= 0, so repeated
                 # eigenvalues gather early; and no ratio of entries overflows it.
                 theta = 0.5 * math.atan2(2.0 * apq, aqq - app)
                 c, s = math.cos(theta), math.sin(theta)
-                Bp[:], Bq[:] = c * Bp - s * Bq, s * Bp + c * Bq
-                A[:, p], A[:, q] = Bp[:n], Bq[:n]  # mirrored: A stays exactly symmetric
+                np.multiply(Bp, c, out=cBp)
+                np.multiply(Bq, s, out=sBq)
+                np.multiply(Bp, s, out=Bp)
+                np.multiply(Bq, c, out=Bq)
+                np.add(Bp, Bq, out=Bq)  # s Bp + c Bq
+                np.subtract(cBp, sBq, out=Bp)  # c Bp - s Bq
+                cols[p][:] = heads[p]  # mirrored: A stays exactly symmetric
+                cols[q][:] = heads[q]
                 d = s * s * (aqq - app) - 2.0 * c * s * apq  # 2 x 2 closed form
                 Bp[p], Bq[q], Bp[q], Bq[p] = app + d, aqq - d, 0.0, 0.0
         if not rotated:

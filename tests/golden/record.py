@@ -16,7 +16,9 @@ pi/2000), and one on K5 over (0, 20000], 100 000 samples in 13 sweep
 blocks, whose best time lies among thousands of peaks of equal height
 (NONE, exit 1). Two `check` cases ask a vertex for itself, which the
 README's check does not: C4 from 1 to 1 at 2 pi (PERIODIC, exit 0), and K5
-from 0 to 0 at time 1 (NONE, fidelity about 0.88, exit 1). Five `rejected`
+from 0 to 0 at time 1 (NONE, fidelity about 0.88, exit 1). One
+`identities` case runs verify-identities on the path 0 - 1 - 2 - 3, which
+has no twin pair, so its four twin identities print null. Five `rejected`
 cases pin inputs the library rejects: a pgst scan whose phase table passes
 pi/eps, an integer past int()'s 4300-digit limit in a document and in a
 "K<n>" base name, a negative seed, and a q_max below 1 for a family with no
@@ -97,6 +99,12 @@ CHECKS = [
                    "--time", "1"], {"graph.json": K5}),
 ]
 
+PATH4 = {"n": 4, "edges": [[0, 1], [1, 2], [2, 3]]}
+IDENTITIES = [
+    ("no-twins", ["verify-identities", "--input", "graph.json", "--seed", "7",
+                  "--trials", "3"], {"graph.json": PATH4}),
+]
+
 FAMILY_INPUTS = [
     ("k4n-16", {"family": "k4n_matching", "size": 16,
                 "matching": [[0, 1], [2, 3], [4, 5], [6, 7]]}),
@@ -124,6 +132,8 @@ def cases() -> list[tuple[str, str, list[str], dict]]:
         out.append((f"scan-{name}", "scan", argv, inputs))
     for name, argv, inputs in CHECKS:
         out.append((f"check-{name}", "check", argv, inputs))
+    for name, argv, inputs in IDENTITIES:
+        out.append((f"identities-{name}", "identities", argv, inputs))
     for name, argv, inputs in REJECTED:
         out.append((f"rejected-{name}", "rejected", argv, inputs))
     return out

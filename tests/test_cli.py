@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from twinwalk import identities
 from twinwalk.cli import main
-from conftest import cycle_graph
+from conftest import cycle_graph, path_graph
 
 C4 = {"n": 4, "edges": [[0, 1], [1, 2], [2, 3], [3, 0]]}
 # eigenvalues 0, 2e12 and 4e12: mu t passes pi/eps near t = 3500
@@ -343,6 +343,21 @@ class TestVerifyIdentities:
         assert code == 0
         assert all(v < 1e-8 for v in obj["identities"].values())
 
+    def test_identities_a_graph_cannot_evaluate_are_null(self, tmp_path, capsys):
+        # the path 0 - 1 - 2 - 3 has no twin pair, so the four twin
+        # identities are never evaluated; they printed 0.0, as if exact
+        path = write(tmp_path, "g.json", {"n": 4, "edges": [[0, 1], [1, 2], [2, 3]]})
+        code, obj = run(capsys, "verify-identities", "--input", path, "--trials", "2")
+        assert code == 0
+        assert {k for k, v in obj["identities"].items() if v is None} == {
+            "perturbation_laplacian", "twin_commutation", "rank_one_power_law",
+            "factorization_vs_oracle"}
+        assert obj["identities"]["propagator_unitarity"] < 1e-12
+        assert obj["identities"]["spectral_vs_oracle"] < 1e-12
+        devs = identities.run_identity_checks(path_graph(4), seed=0, trials=1)
+        assert {k for k, v in devs.items() if v is None} == {
+            k for k, v in obj["identities"].items() if v is None}
+
     def test_zero_trials_rejected(self, capsys):
         assert main(["verify-identities", "--trials", "0"]) == 2
 
@@ -417,6 +432,9 @@ class TestErrorsAndOutput:
             ("twins", {"n": 3, "edges": [[0]]}, "edge [0] must have 2 or 3 entries"),
             ("family", {"family": "quarter_weight", "base": "C5", "pairs": [[0, 2]]},
              'unrecognized base graph name "C5"'),
+            # an Arabic-Indic three: r"\d" matched it and int() read K3
+            ("family", {"family": "quarter_weight", "base": "K\u0663", "pairs": [[0, 1]]},
+             'unrecognized base graph name "K\u0663"'),
             ("family", {"n": 2}, 'family document needs a "family" key'),
             ("family", {"family": "k4n_matching", "matching": [[0, 1]]},
              'k4n_matching needs "n" (quarter count) or "size"'),
@@ -427,7 +445,7 @@ class TestErrorsAndOutput:
             ("family", {"family": "circulant_twin", "n": 8},
              "bad circulant_twin parameters: 'S'"),
         ],
-        ids=["graph_not_object", "edge_length", "base_name", "family_key",
+        ids=["graph_not_object", "edge_length", "base_name", "base_name_digit", "family_key",
              "k4n_size", "quarter_base", "family_name", "circulant_key",
              "circulant_twin_key"],
     )

@@ -1,6 +1,7 @@
 """Golden command-line corpus, replayed: README's commands and schema
 examples, the exit-code table, two more families, two pst scans, two
-checks of a vertex against itself and rejected inputs.
+checks of a vertex against itself, an identity battery on a graph with no
+twin pair and rejected inputs.
 
 Each `tests/golden/*.json` case holds an argv, the input documents it reads
 (written to a temporary directory that its --input and --out paths name;

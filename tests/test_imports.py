@@ -1,5 +1,6 @@
-"""Every name a module imports is read in that module, and the command line
-loads nothing but the standard library and numpy.
+"""Every name a module imports is read in that module, the command line
+loads nothing but the standard library and numpy, and every source file
+parses under the grammar of pyproject.toml's requires-python floor.
 
 The first covers the library modules and the test modules. A package
 `__init__.py` imports to re-export, and `from __future__` imports set
@@ -7,6 +8,7 @@ compiler flags, so neither counts.
 """
 
 import ast
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -59,3 +61,23 @@ def test_cli_loads_only_the_stdlib_and_numpy():
     assert "twinwalk" in added
     allowed = set(sys.stdlib_module_names) | {"numpy", "twinwalk"}
     assert [name for name in added if name not in allowed] == []
+
+
+ROOT = Path(__file__).resolve().parent.parent
+# ast.parse judges a newer construct by the floor's grammar, on a best-effort
+# basis: except*, for one, is refused, which a run on the floor would also do
+FLOOR = tuple(map(int, re.search(r'requires-python = ">=(\d+)\.(\d+)"',
+                                 (ROOT / "pyproject.toml").read_text()).groups()))
+SOURCES = sorted(path for tree in ("src", "tests", "bench")
+                 for path in (ROOT / tree).rglob("*.py"))
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: str(p.relative_to(ROOT)))
+def test_every_source_parses_under_the_python_floor(path):
+    ast.parse(path.read_text(encoding="utf-8"), str(path), feature_version=FLOOR)
+
+
+def test_the_floor_check_sees_newer_grammar():
+    assert FLOOR == (3, 10)
+    with pytest.raises(SyntaxError, match="only supported in Python 3.11"):
+        ast.parse("try:\n    pass\nexcept* ValueError:\n    pass\n", feature_version=FLOOR)

@@ -3,7 +3,8 @@ verdict, whatever the verdict is.
 
 - Relabelling the vertices by a permutation keeps every amplitude, so
   check_lpst (a != b and a == b) and pst_time_scan report the same kind and
-  fidelity on the relabelled pair.
+  fidelity on the relabelled pair, and verify_family the same kind, time
+  and fidelity on each relabelled witness.
 - Scaling every weight by c > 0 scales the Laplacian, so the walk on cG at
   time t / c is the walk on G at time t, and a pst scan of cG finds G's
   first transfer t* at t* / c.
@@ -28,8 +29,10 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from twinwalk import (TransferKind, WeightedGraph, build_graph, check_lpst,
-                      k4n_remove_matching, pst_time_scan)
+from twinwalk import (CirculantSpec, TransferKind, WeightedGraph, build_graph, check_lpst,
+                      circulant_twin_edge_family, k4n_remove_matching, pst_time_scan,
+                      verify_family)
+from twinwalk.families import ExpectedWitness, FamilyInstance
 from twinwalk.identities import random_twin_graph
 
 EPS = 1e-12
@@ -82,6 +85,34 @@ def test_relabelling_keeps_the_scan(case, data):
     perm = data.draw(st.permutations(range(G.n)))
     got = pst_time_scan(relabel(G, perm), perm[a], perm[b], 2 * math.pi)
     assert_same_verdict(got, pst_time_scan(G, a, b, 2 * math.pi))
+
+
+@st.composite
+def families(draw):
+    """K_{4m} minus a drawn matching (m <= 3), or Cay(Z16, odd residues), a
+    gcd set, plus one to three drawn antipodal edges: LPST at pi/2 on every
+    pair, and PERIODIC at every vertex a K_{4m} matching leaves alone."""
+    if draw(st.booleans()):
+        m = draw(st.integers(1, 3))
+        order = draw(st.permutations(range(4 * m)))
+        return k4n_remove_matching(4 * m, list(zip(order[0:2 * m:2], order[1:2 * m:2])))
+    starts = draw(st.lists(st.integers(0, 7), min_size=1, max_size=3, unique=True))
+    return circulant_twin_edge_family(CirculantSpec(16, frozenset(range(1, 16, 2))),
+                                      [(x, x + 8) for x in starts])
+
+
+@settings(max_examples=15, deadline=None)
+@given(families(), st.data())
+def test_relabelling_keeps_the_family_witnesses(fi, data):
+    perm = data.draw(st.permutations(range(fi.graph.n)))
+    moved = FamilyInstance(
+        relabel(fi.graph, perm),
+        tuple(ExpectedWitness(perm[w.a], perm[w.b], w.time) for w in fi.expected_witnesses),
+        fi.provenance)
+    for got, want in zip(verify_family(moved), verify_family(fi), strict=True):
+        assert (got.source, got.target) == (perm[want.source], perm[want.target])
+        assert got.time == want.time
+        assert_same_verdict(got, want)
 
 
 @settings(max_examples=40, deadline=None)

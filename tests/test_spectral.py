@@ -8,14 +8,17 @@ from hypothesis import example, given, settings, strategies as st
 
 import twinwalk
 from twinwalk import (
+    CirculantSpec,
     TransferKind,
     build_graph,
     check_lpst,
+    circulant_twin_edge_family,
     eigendecompose,
     is_integral_spectrum,
     k4n_remove_matching,
     laplacian,
     matrix_exp_oracle,
+    quarter_weight_family,
 )
 from twinwalk.errors import ConvergenceFailureError, IndexOutOfRangeError
 from twinwalk.spectral import DEFAULT_CLUSTER_TOL
@@ -232,6 +235,62 @@ class TestJacobi:
         eps = np.finfo(float).eps
         assert np.linalg.norm(L @ V - V * values) <= 2.0 * L.shape[0] * eps * max(1.0, fro)
         assert np.linalg.norm(V.T @ V - np.eye(L.shape[0])) <= 1e-12 * max(1.0, fro)
+
+    @pytest.mark.parametrize("L", [
+        *(laplacian(k4n_remove_matching(4 * m, [(2 * i, 2 * i + 1) for i in range(m)]).graph)
+          for m in range(1, 7)),
+        laplacian(quarter_weight_family(complete(16), [(0, 1), (2, 3)]).graph),
+        *(laplacian(circulant_twin_edge_family(
+            CirculantSpec(n, frozenset(range(1, n, 2))), [(0, n // 2)]).graph)
+          for n in (16, 32, 64)),
+    ], ids=[*(f"K{4 * m}-matching" for m in range(1, 7)), "quarter-K16",
+            "Cay(Z16)+edge", "Cay(Z32)+edge", "Cay(Z64)+edge"])
+    def test_rotation_is_the_row_statement_bit_for_bit_on_families(self, L):
+        self.assert_rotation_pinned(L)
+
+    @settings(max_examples=40, deadline=None)
+    @given(laplacians())
+    def test_rotation_is_the_row_statement_bit_for_bit(self, L):
+        self.assert_rotation_pinned(L)
+
+    @staticmethod
+    def assert_rotation_pinned(L):
+        """The in-place rotation gives the values and basis, bit for bit, of
+        one statement that turns both rows, `pinned_jacobi` below."""
+        fro = float(np.linalg.norm(L))
+        values, V = twinwalk.spectral._jacobi(L, fro)
+        want_values, want_V = pinned_jacobi(L, fro)
+        assert np.array_equal(values, want_values)
+        assert np.array_equal(V, want_V)
+
+
+def pinned_jacobi(L: np.ndarray, fro: float) -> tuple[np.ndarray, np.ndarray]:
+    """spectral._jacobi with each rotation written as one statement over new
+    rows: the reference for the solver's in-place turns."""
+    n = L.shape[0]
+    B = np.hstack((L, np.eye(n)))
+    A = B[:, :n]
+    skip = np.finfo(float).eps * fro
+    for _ in range(twinwalk.spectral._JACOBI_MAX_SWEEPS):
+        rotated = False
+        for p in range(n - 1):
+            Bp = B[p]
+            for q in range(p + 1, n):
+                apq = Bp[q]
+                if abs(apq) <= skip:
+                    continue
+                rotated = True
+                Bq = B[q]
+                app, aqq = Bp[p], Bq[q]
+                theta = 0.5 * math.atan2(2.0 * apq, aqq - app)
+                c, s = math.cos(theta), math.sin(theta)
+                Bp[:], Bq[:] = c * Bp - s * Bq, s * Bp + c * Bq
+                A[:, p], A[:, q] = Bp[:n], Bq[:n]
+                d = s * s * (aqq - app) - 2.0 * c * s * apq
+                Bp[p], Bq[q], Bp[q], Bq[p] = app + d, aqq - d, 0.0, 0.0
+        if not rotated:
+            return np.diag(A).copy(), B[:, n:].T
+    raise AssertionError("the reference did not converge")
 
 
 def test_only_spectral_reads_the_basis():
