@@ -27,8 +27,8 @@ import numpy as np
 
 from .errors import InputError
 from .graphs import (WeightedGraph, _check_distinct, _check_int, _check_real,
-                     _check_vertex, laplacian)
-from .spectral import _TIME_RULE, Spectrum, _phases, _real_matrix, eigendecompose
+                     _check_vertex, laplacian, rank_one_matrix)
+from .spectral import _TIME_RULE, Spectrum, _phases, eigendecompose
 
 DEFAULT_LPST_TOL = 1e-9
 DEFAULT_QMAX = 1_000_000
@@ -128,17 +128,15 @@ def _sweep_error(s: Spectrum, c: np.ndarray, t: float) -> float:
 
 
 def perturbed_propagator(
-    s: Spectrum, t: float, M: np.ndarray, alpha: float
+    s: Spectrum, t: float, a: int, b: int, alpha: float
 ) -> np.ndarray:
     """Closed-form propagator at time t of the graph whose spectrum is s with
-    alpha added to the edge of M's pair.
+    alpha added to the edge (a, b), through M = rank_one_matrix(s.n, a, b).
 
-    Valid only when the endpoints of M are twins in the graph s came from;
-    InputError unless M is a real n x n matrix and alpha a real number.
+    Valid only when a and b are twins in the graph s came from; InputError
+    unless they are two distinct vertices of it and alpha a real number.
     """
-    M = _real_matrix(M)
-    if M.shape != (s.n, s.n):
-        raise InputError(f"M of shape {M.shape} is not {s.n} x {s.n}")
+    M = rank_one_matrix(s.n, a, b)
     alpha = _check_real(alpha, -np.inf, np.inf, "perturbation alpha must be finite")
     t = _check_real(t, -np.inf, np.inf, _TIME_RULE)
     U = propagator(s, t)

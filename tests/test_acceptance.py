@@ -62,7 +62,7 @@ def test_criterion_1_factorization_identity():
             s = eigendecompose(L)
             alpha = float(rng.uniform(-2.0, 2.0))
             for t in rng.uniform(0.0, 10.0, size=10):
-                closed = perturbed_propagator(s, float(t), M, alpha)
+                closed = perturbed_propagator(s, float(t), a, b, alpha)
                 direct = matrix_exp_oracle(L + alpha * M, float(t))
                 worst = max(worst, float(np.abs(closed - direct).max()))
         assert worst < 1e-8, f"worst deviation {worst}"

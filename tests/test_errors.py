@@ -101,10 +101,10 @@ REJECTED = [
      "perturbation alpha must be finite"),
     ("trials", lambda: run_identity_checks(None, 0, 0), "trials must be at least 1"),
     ("propagator_alpha",
-     lambda: perturbed_propagator(c4_spectrum(), 1.0, rank_one_matrix(4, 0, 2), math.inf),
+     lambda: perturbed_propagator(c4_spectrum(), 1.0, 0, 2, math.inf),
      "alpha must be finite"),
     ("perturbed_t",
-     lambda: perturbed_propagator(c4_spectrum(), math.nan, rank_one_matrix(4, 0, 2), 1.0),
+     lambda: perturbed_propagator(c4_spectrum(), math.nan, 0, 2, 1.0),
      "t must be finite"),
     ("propagator_t", lambda: propagator(c4_spectrum(), math.inf), "t must be finite"),
     ("amplitudes_t", lambda: transfer_amplitudes(c4_spectrum(), 0, 2, [1.0, math.nan]),
@@ -114,7 +114,7 @@ REJECTED = [
      "every phase mu t"),
     ("propagator_phase", lambda: propagator(c4_spectrum(), -1e308), "every phase mu t"),
     ("perturbed_phase",
-     lambda: perturbed_propagator(c4_spectrum(), 2.0, rank_one_matrix(4, 0, 2), 1e308),
+     lambda: perturbed_propagator(c4_spectrum(), 2.0, 0, 2, 1e308),
      "every phase mu t"),
     ("verdict_phase", lambda: check_lpst(c4(), 0, 2, 1e308), "every phase mu t"),
     ("t_max_phase", lambda: pst_time_scan(c4(), 0, 2, 1e308), "every phase mu t"),
@@ -218,7 +218,7 @@ REJECTED = [
      "t must be finite"),
     ("propagator_list_t", lambda: propagator(c4_spectrum(), [1.0]), "t must be finite"),
     ("perturbed_array_t", lambda: perturbed_propagator(
-        c4_spectrum(), np.array([1.0, 2.0]), rank_one_matrix(4, 0, 2), 1.0),
+        c4_spectrum(), np.array([1.0, 2.0]), 0, 2, 1.0),
      "t must be finite"),
     # a ragged list of times, one object to graphs._as_array and no real
     # number to graphs._check_real: each row below raised numpy's builtin
@@ -229,16 +229,16 @@ REJECTED = [
      "t must be finite"),
     ("propagator_ragged_t", lambda: propagator(c4_spectrum(), RAGGED), "t must be finite"),
     ("perturbed_ragged_t", lambda: perturbed_propagator(
-        c4_spectrum(), RAGGED, rank_one_matrix(4, 0, 2), 1.0), "t must be finite"),
+        c4_spectrum(), RAGGED, 0, 2, 1.0), "t must be finite"),
     ("edge_alpha_bool", lambda: perturb_edge(c4(), 0, 1, True),
      "perturbation alpha must be finite"),
     ("edge_alpha_str", lambda: perturb_edge(c4(), 0, 1, "1"),
      "perturbation alpha must be finite"),
     ("propagator_alpha_bool",
-     lambda: perturbed_propagator(c4_spectrum(), 1.0, rank_one_matrix(4, 0, 2), True),
+     lambda: perturbed_propagator(c4_spectrum(), 1.0, 0, 2, True),
      "alpha must be finite"),
     ("propagator_alpha_str",
-     lambda: perturbed_propagator(c4_spectrum(), 1.0, rank_one_matrix(4, 0, 2), "1"),
+     lambda: perturbed_propagator(c4_spectrum(), 1.0, 0, 2, "1"),
      "alpha must be finite"),
     ("tol_str", lambda: check_lpst(c4(), 0, 2, 1.0, tol="x"), r"tol must lie in \(0, 1\)"),
     ("t_max_str", lambda: pst_time_scan(c4(), 0, 2, "3"), "t_max must be positive"),
@@ -311,15 +311,18 @@ REJECTED = [
      "t H must have a finite norm"),
     # the oracle's matrix: complex lost its imaginary part with a
     # ComplexWarning, ragged rows and a non-square matrix raised builtin
-    # ValueErrors; M of the wrong size raised numpy's broadcast ValueError
+    # ValueErrors
     ("oracle_complex", lambda: matrix_exp_oracle(np.eye(2) * 1j, 1.0),
      "matrix of dtype complex128 is not real"),
     ("oracle_ragged", lambda: matrix_exp_oracle([[0, 1], [1]], 1.0),
      "matrix of dtype object is not real"),
     ("oracle_not_square", lambda: matrix_exp_oracle(np.zeros((2, 3)), 1.0),
      r"matrix of shape \(2, 3\) is not square"),
-    ("perturbed_wrong_size", lambda: perturbed_propagator(c4_spectrum(), 1.0, np.eye(3), 1.0),
-     r"M of shape \(3, 3\) is not 4 x 4"),
+    # the pair is read as rank_one_matrix reads it: two distinct vertices of s
+    ("perturbed_out_of_range", lambda: perturbed_propagator(c4_spectrum(), 1.0, 0, 4, 1.0),
+     r"vertex 4 out of range \[0, 4\)"),
+    ("perturbed_equal_vertices", lambda: perturbed_propagator(c4_spectrum(), 1.0, 2, 2, 1.0),
+     "rank-one matrix needs two distinct vertices"),
     # arguments that are not iterable, or edges that are not triples: each
     # raised a builtin TypeError or ValueError
     ("pgst_float_epsilons", lambda: pgst_scan(c4(), 0, 2, 10, 0.5),
@@ -419,9 +422,8 @@ def test_one_time_may_be_a_numpy_scalar(t):
     assert check_lpst(c4(), 0, 2, t) == check_lpst(c4(), 0, 2, x)
     assert check_periodic(c4(), 0, t) == check_periodic(c4(), 0, x)
     assert np.array_equal(propagator(c4_spectrum(), t), propagator(c4_spectrum(), x))
-    M = rank_one_matrix(4, 0, 2)
-    assert np.array_equal(perturbed_propagator(c4_spectrum(), t, M, 1.0),
-                          perturbed_propagator(c4_spectrum(), x, M, 1.0))
+    assert np.array_equal(perturbed_propagator(c4_spectrum(), t, 0, 2, 1.0),
+                          perturbed_propagator(c4_spectrum(), x, 0, 2, 1.0))
 
 
 @pytest.mark.parametrize("value",
@@ -433,19 +435,18 @@ def test_numpy_and_rational_reals_are_accepted(value):
     or a 0-d array of one, with the results of the equal float; tol and
     epsilons lie in (0, 1), where no integer is."""
     x = float(value)
-    M = rank_one_matrix(4, 0, 2)
     assert build_graph(4, [(0, 1, value)]) == build_graph(4, [(0, 1, x)])
     assert perturb_edge(c4(), 0, 2, value) == perturb_edge(c4(), 0, 2, x)
-    assert np.array_equal(perturbed_propagator(c4_spectrum(), 1.0, M, value),
-                          perturbed_propagator(c4_spectrum(), 1.0, M, x))
+    assert np.array_equal(perturbed_propagator(c4_spectrum(), 1.0, 0, 2, value),
+                          perturbed_propagator(c4_spectrum(), 1.0, 0, 2, x))
     assert pst_time_scan(c4(), 0, 2, value) == pst_time_scan(c4(), 0, 2, x)
     # one time t
     assert check_lpst(c4(), 0, 2, value) == check_lpst(c4(), 0, 2, x)
     assert type(check_lpst(c4(), 0, 2, value).time) is float
     assert check_periodic(c4(), 0, value) == check_periodic(c4(), 0, x)
     assert np.array_equal(propagator(c4_spectrum(), value), propagator(c4_spectrum(), x))
-    assert np.array_equal(perturbed_propagator(c4_spectrum(), value, M, 1.0),
-                          perturbed_propagator(c4_spectrum(), x, M, 1.0))
+    assert np.array_equal(perturbed_propagator(c4_spectrum(), value, 0, 2, 1.0),
+                          perturbed_propagator(c4_spectrum(), x, 0, 2, 1.0))
     assert np.array_equal(matrix_exp_oracle(laplacian(c4()), value),
                           matrix_exp_oracle(laplacian(c4()), x))
     if x < 1:

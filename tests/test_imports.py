@@ -65,19 +65,71 @@ def test_cli_loads_only_the_stdlib_and_numpy():
 
 ROOT = Path(__file__).resolve().parent.parent
 # ast.parse judges a newer construct by the floor's grammar, on a best-effort
-# basis: except*, for one, is refused, which a run on the floor would also do
+# basis: except*, for one, is refused, which a run on the floor would also do,
+# but PEP 646's star forms are not, so parse_under_floor refuses those itself
 FLOOR = tuple(map(int, re.search(r'requires-python = ">=(\d+)\.(\d+)"',
                                  (ROOT / "pyproject.toml").read_text()).groups()))
 SOURCES = sorted(path for tree in ("src", "tests", "bench")
                  for path in (ROOT / tree).rglob("*.py"))
 
 
+def unparenthesized_items(index: ast.expr) -> list[ast.expr]:
+    """A subscript's items: the elements of a tuple without parentheses of
+    its own, which would start before its first element and end after its
+    last; else the index itself. An unparenthesized tuple whose first and
+    last elements are both parenthesized reads as parenthesized."""
+    if not isinstance(index, ast.Tuple) or not index.elts:
+        return [index]
+    first, last = index.elts[0], index.elts[-1]
+    own = ((index.lineno, index.col_offset) < (first.lineno, first.col_offset)
+           and (index.end_lineno, index.end_col_offset) > (last.end_lineno, last.end_col_offset))
+    return [index] if own else index.elts
+
+
+def parse_under_floor(source: str, name: str = "<planted>") -> ast.Module:
+    """ast.parse at the floor's grammar, which still lets through PEP 646's
+    star forms of 3.11, so those are refused here: a starred *args
+    annotation and a starred item of a subscript."""
+    tree = ast.parse(source, name, feature_version=FLOOR)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.arguments):
+            items = [node.vararg.annotation] if node.vararg else []
+        else:
+            items = unparenthesized_items(node.slice) if isinstance(node, ast.Subscript) else []
+        if any(isinstance(item, ast.Starred) for item in items):
+            raise SyntaxError("star expressions in a subscript or a *args annotation are "
+                              "only supported in Python 3.11 and greater",
+                              (name, items[0].lineno, items[0].col_offset + 1, None))
+    return tree
+
+
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: str(p.relative_to(ROOT)))
 def test_every_source_parses_under_the_python_floor(path):
-    ast.parse(path.read_text(encoding="utf-8"), str(path), feature_version=FLOOR)
+    parse_under_floor(path.read_text(encoding="utf-8"), str(path))
 
 
 def test_the_floor_check_sees_newer_grammar():
     assert FLOOR == (3, 10)
     with pytest.raises(SyntaxError, match="only supported in Python 3.11"):
-        ast.parse("try:\n    pass\nexcept* ValueError:\n    pass\n", feature_version=FLOOR)
+        parse_under_floor("try:\n    pass\nexcept* ValueError:\n    pass\n")
+
+
+@pytest.mark.parametrize("source", [
+    "def f(*args: *tuple[int]):\n    pass\n",
+    "x: tuple[*Ts]\n",
+    "a[*b]\n",
+    "a[(x), *b]\n",
+], ids=["vararg", "type-argument", "index", "index-after-a-parenthesized-item"])
+def test_the_floor_check_sees_pep_646_star_forms(source):
+    """ast.parse(source, feature_version=(3, 10)) accepts each of these."""
+    ast.parse(source, feature_version=FLOOR)
+    with pytest.raises(SyntaxError, match="only supported in Python 3.11"):
+        parse_under_floor(source)
+
+
+@pytest.mark.parametrize("source", ["a[(*b,)]\n", "x: tuple[(*Ts,)]\n",
+                                    "def f(*args: tuple[int]):\n    pass\n"],
+                         ids=["index", "type-argument", "vararg"])
+def test_the_floor_check_keeps_the_floors_star_forms(source):
+    """A starred item of a parenthesized tuple is 3.10 grammar."""
+    parse_under_floor(source)

@@ -6,14 +6,16 @@ verdict, whatever the verdict is.
   fidelity on the relabelled pair, and verify_family the same kind, time
   and fidelity on each relabelled witness.
 - Scaling every weight by c > 0 scales the Laplacian, so the walk on cG at
-  time t / c is the walk on G at time t, and a pst scan of cG finds G's
-  first transfer t* at t* / c.
+  time t / c is the walk on G at time t: a pst scan of cG finds G's first
+  transfer t* at t* / c, and a family's witnesses hold at t / c.
 - The weighted complement c(J - I) - G, with c at least every weight, has
   Laplacian c(nI - J) - L(G), and J commutes with L(G); so at times t with
   c n t in 2 pi Z its fidelities are G's (Alvir et al., "Perfect state
-  transfer in Laplacian quantum walk", J. Algebraic Combin. 2016).
+  transfer in Laplacian quantum walk", J. Algebraic Combin. 2016), and a
+  matching's complement first transfers when the matching does.
 - A pair inside one component of a disjoint union gets the component's
-  verdict.
+  verdict, scan and family witnesses; beside a component 10^4 times
+  heavier or more it does not yet (a strict xfail).
 
 Graphs are random twin graphs, whose verdicts are mostly NONE, and K_{4m}
 minus a matching at pi/2, where pairs transfer and other vertices return:
@@ -138,6 +140,18 @@ def test_scaling_the_weights_scales_the_scan(m, data, c):
     assert abs(got.fidelity - want.fidelity) <= EPS
 
 
+@settings(max_examples=15, deadline=None)
+@given(families(), st.sampled_from([0.125, 0.3, 3.0, 7.0, 1e3]))
+def test_scaling_the_weights_scales_the_family_witnesses(fi, c):
+    scaled = FamilyInstance(
+        WeightedGraph(c * fi.graph.matrix),
+        tuple(ExpectedWitness(w.a, w.b, w.time / c) for w in fi.expected_witnesses),
+        fi.provenance)
+    for got, want in zip(verify_family(scaled), verify_family(fi), strict=True):
+        assert (got.source, got.target, got.time) == (want.source, want.target, want.time / c)
+        assert_same_verdict(got, want)
+
+
 def complement(G: WeightedGraph, c: float) -> WeightedGraph:
     """c(J - I) - G: weight c - w on every pair, for c at least every weight w."""
     return WeightedGraph(c * (1.0 - np.eye(G.n)) - G.matrix)
@@ -167,6 +181,26 @@ def test_the_complement_keeps_the_check_when_its_weights_nearly_vanish():
     c = 1.0 + 1e-9
     t = 2 * math.pi / (c * G.n)
     assert_same_verdict(check_lpst(complement(G, c), 0, 0, t), check_lpst(G, 0, 0, t))
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.integers(1, 2), st.data())
+def test_the_complement_keeps_the_scan_of_a_matching(m, data):
+    """The matching graph K2s transfers along each edge first at pi/2. In
+    its complement at c = k / m >= 1, e_a + e_b lies on the eigenvalues 0
+    and c n, and e_a - e_b on c n - 2, so with c n = 4k its first transfer
+    is pi/2 as well: the scans agree, and at c = 1 the complement is K_{4m}
+    minus the matching."""
+    order = data.draw(st.permutations(range(4 * m)))
+    matching = list(zip(order[0:2 * m:2], order[1:2 * m:2]))
+    K2s = build_graph(4 * m, [(u, v, 1.0) for u, v in matching])
+    c = data.draw(st.integers(m, 3 * m)) / m
+    a, b = data.draw(st.sampled_from(matching))
+    want = pst_time_scan(K2s, a, b, 4 * math.pi)
+    got = pst_time_scan(complement(K2s, c), a, b, 4 * math.pi)
+    assert want.kind is got.kind is TransferKind.LPST
+    assert got.time == pytest.approx(want.time, rel=1e-12)
+    assert abs(got.fidelity - want.fidelity) <= EPS
 
 
 def test_k4m_minus_a_matching_is_the_complement_of_the_matching():
@@ -199,6 +233,57 @@ def test_a_component_keeps_its_check_in_a_disjoint_union(case, other, first):
     got = check_lpst(union, a + shift, b + shift, t)
     assert (got.source, got.target) == (a + shift, b + shift)
     assert_same_verdict(got, check_lpst(H, a, b, t))
+
+
+@settings(max_examples=15, deadline=None)
+@given(families(), cases(), st.booleans())
+def test_a_family_keeps_its_witnesses_in_a_disjoint_union(fi, other, first):
+    G = other[0]
+    union, shift = (disjoint_union(fi.graph, G), 0) if first else (disjoint_union(G, fi.graph), G.n)
+    moved = FamilyInstance(union, tuple(ExpectedWitness(w.a + shift, w.b + shift, w.time)
+                                        for w in fi.expected_witnesses), fi.provenance)
+    for got, want in zip(verify_family(moved), verify_family(fi), strict=True):
+        assert (got.source, got.target, got.time) == (want.source + shift,
+                                                      want.target + shift, want.time)
+        assert_same_verdict(got, want)
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.integers(1, 3), st.data(), cases(), st.sampled_from([1.0, 10.0, 100.0]))
+def test_a_component_keeps_its_scan_in_a_disjoint_union(m, data, other, c):
+    """K_{4m} minus a matching first transfers at pi/2 beside any graph; at
+    c = 10 and 100 the other component's spread sets a finer grid."""
+    order = data.draw(st.permutations(range(4 * m)))
+    matching = list(zip(order[0:2 * m:2], order[1:2 * m:2]))
+    H = k4n_remove_matching(4 * m, matching).graph
+    a, b = data.draw(st.sampled_from(matching))
+    G = WeightedGraph(c * other[0].matrix)
+    want = pst_time_scan(H, a, b, 4 * math.pi)
+    got = pst_time_scan(disjoint_union(G, H), a + G.n, b + G.n, 4 * math.pi)
+    assert want.kind is got.kind is TransferKind.LPST
+    assert got.time == pytest.approx(want.time, rel=1e-12)
+    assert abs(got.fidelity - want.fidelity) <= EPS
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "ROADMAP items 8 and 22: eigendecompose clusters within 1e-8 ||L||_F of the "
+    "whole graph, so a light component's distinct eigenvalues merge beside a "
+    "heavy one"))
+def test_a_component_keeps_its_check_beside_a_heavier_one():
+    """K4 minus (0, 1) beside random_twin_graph(default_rng(seed)) scaled by
+    10^(4 + seed mod 6), seeds 0..49: K4 minus an edge transfers at pi/2
+    alone, and 19 of these 50 unions lose the transfer."""
+    G = build_graph(4, [(0, 2, 1.0), (0, 3, 1.0), (1, 2, 1.0), (1, 3, 1.0), (2, 3, 1.0)])
+    want = check_lpst(G, 0, 1, math.pi / 2)
+    assert want.kind is TransferKind.LPST
+    lost = []
+    for seed in range(50):
+        H, _ = random_twin_graph(np.random.default_rng(seed))
+        union = disjoint_union(G, WeightedGraph(10.0 ** (4 + seed % 6) * H.matrix))
+        got = check_lpst(union, 0, 1, math.pi / 2)
+        if got.kind is not want.kind or abs(got.fidelity - want.fidelity) > EPS:
+            lost.append(seed)
+    assert lost == []
 
 
 def test_the_cases_reach_every_check_kind():
