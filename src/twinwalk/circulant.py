@@ -99,7 +99,5 @@ def mod_four_condition(spec: CirculantSpec) -> bool:
 
 def almost_periodic_applicable(spec: CirculantSpec) -> bool:
     """Power-of-two modulus and mod-4 class counts: the walk is almost
-    periodic along times (4q+1) pi/2."""
-    n = spec.n
-    is_pow2 = n >= 2 and (n & (n - 1)) == 0
-    return is_pow2 and mod_four_condition(spec)
+    periodic along times (4q+1) pi/2. Every CirculantSpec has n >= 2."""
+    return (spec.n & (spec.n - 1)) == 0 and mod_four_condition(spec)

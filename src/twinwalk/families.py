@@ -21,7 +21,6 @@ from .circulant import (
     almost_periodic_applicable,
     build_circulant,
     is_gcd_set,
-    twin_condition,
 )
 from .errors import InputError, WitnessFailedError
 from .graphs import (
@@ -97,6 +96,17 @@ def _pair_witnesses(n: int, pairs: list[tuple[int, int]], t: float) -> tuple:
                  + [ExpectedWitness(p, p, t) for p in range(n) if p not in touched])
 
 
+def _perturb_twins(G: WeightedGraph, pairs: list[tuple[int, int]], alpha) -> WeightedGraph:
+    """The paper's operation on each pair in turn: add alpha(w) to the edge
+    of weight w between the twins a and b of the graph so far. Raises
+    InputError at the first pair that is not a twin pair there."""
+    for a, b in pairs:
+        if not is_twin_pair(G, a, b):
+            raise InputError(f"({a},{b}) is not a twin pair")
+        G = perturb_edge(G, a, b, alpha(G.matrix[a, b]))
+    return G
+
+
 def k4n_remove_matching(
     size: int, matching: list[tuple[int, int]]
 ) -> FamilyInstance:
@@ -107,9 +117,7 @@ def k4n_remove_matching(
     negative testing: a UserWarning is emitted and no witnesses are claimed.
     """
     matching = _check_disjoint(matching)
-    G = complete_graph(size)
-    for a, b in matching:
-        G = perturb_edge(G, a, b, -1.0)
+    G = _perturb_twins(complete_graph(size), matching, lambda w: -1.0)
     if size % 4 != 0:
         warnings.warn(f"size {size} is not a multiple of 4; no transfer witnesses")
         return FamilyInstance(G, (), "complete-minus-matching")
@@ -143,11 +151,7 @@ def quarter_weight_family(
     pairs = _check_disjoint(pairs)
     if not is_integral_spectrum(_spectrum_of(base)):
         raise InputError("base graph is not Laplacian integral")
-    G = base
-    for a, b in pairs:
-        if not is_twin_pair(G, a, b):
-            raise InputError(f"({a},{b}) is not a twin pair")
-        G = perturb_edge(G, a, b, _quarter_alpha(G.matrix[a, b]))
+    G = _perturb_twins(base, pairs, _quarter_alpha)
     witnesses = _pair_witnesses(base.n, pairs, TWO_PI)
     return FamilyInstance(G, witnesses, "quarter-weight-edge")
 
@@ -160,17 +164,13 @@ def circulant_twin_edge_family(
 
     With a gcd-set connection set the result transfers perfectly at pi/2 on
     every added pair; otherwise each pair gets a pretty-good witness along
-    times (4q+1) pi/2.
+    times (4q+1) pi/2. Raises InputError unless each pair is antipodal twins.
     """
     G = build_circulant(spec)  # rejects an n too large to hold first
     if not almost_periodic_applicable(spec):
         raise InputError(
             "almost-periodicity criterion failed: modulus must be a power "
             "of two with all gcd-class intersections divisible by 4"
-        )
-    if not twin_condition(spec):
-        raise InputError(
-            "twin condition failed: connection set is not fixed by s -> n/2 - s"
         )
     half = spec.n // 2
     pairs = _check_disjoint(pairs)
@@ -179,9 +179,8 @@ def circulant_twin_edge_family(
             raise InputError(
                 f"pair ({_shown(a)},{_shown(b)}) is not antipodal (offset n/2)"
             )
-    # S = n/2 - S and 0 not in S keep n/2 out of S: no pair is an edge yet.
-    for a, b in pairs:
-        G = perturb_edge(G, a, b, 1.0)
+    # S_n(n/2) = {n/2}, so the mod-4 condition keeps n/2 out of S: no pair is an edge yet.
+    G = _perturb_twins(G, pairs, lambda w: 1.0)
     t = HALF_PI if is_gcd_set(spec.n, spec.S) else None
     witnesses = tuple(ExpectedWitness(a, b, t) for a, b in pairs)
     return FamilyInstance(G, witnesses, "circulant-twin-edge")

@@ -18,13 +18,14 @@ blocks, whose best time lies among thousands of peaks of equal height
 README's check does not: C4 from 1 to 1 at 2 pi (PERIODIC, exit 0), and K5
 from 0 to 0 at time 1 (NONE, fidelity about 0.88, exit 1). One
 `identities` case runs verify-identities on the path 0 - 1 - 2 - 3, which
-has no twin pair, so its four twin identities print null. Five `rejected`
+has no twin pair, so its four twin identities print null. Six `rejected`
 cases pin inputs the library rejects: a pgst scan whose phase table passes
 pi/eps, an integer past int()'s 4300-digit limit in a document and in a
-"K<n>" base name, a negative seed, and a q_max below 1 for a family with no
-PGST witness. Each case stores what the command printed with the code
-checked out when this script runs, so record on the code whose output the
-corpus should pin, then commit the JSON files.
+"K<n>" base name, a negative seed, a q_max below 1 for a family with no
+PGST witness, and a circulant family whose antipodal pair is not twins.
+Each case stores what the command printed with the code checked out when
+this script runs, so record on the code whose output the corpus should
+pin, then commit the JSON files.
 
 A case is written only when it is new or no longer matches its stored file
 under tests/test_golden.py's assert_matches (argv and inputs included), so
@@ -79,6 +80,10 @@ REJECTED = [
     ("negative-seed", ["verify-identities", "--seed", "-1"], {}),
     ("family-q-max", ["family", "--input", "doc.json", "--q-max", "0"],
      {"doc.json": {"family": "k4n_matching", "size": 8, "matching": [[0, 4]]}}),
+    # S meets the mod-4 condition but is not fixed by s -> 8 - s
+    ("circulant-not-twins", ["family", "--input", "doc.json"],
+     {"doc.json": {"family": "circulant_twin", "n": 16, "S": [1, 3, 13, 15],
+                   "pairs": [[0, 8]]}}),
 ]
 
 # K16 minus the matching {(0,1), (2,3), (4,5), (6,7)} at weight 1000

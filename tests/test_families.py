@@ -1,9 +1,13 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from twinwalk import (
     CirculantSpec,
     TransferKind,
+    build_circulant,
     check_lpst,
     check_periodic,
     circulant_twin_edge_family,
@@ -14,6 +18,7 @@ from twinwalk import (
     quarter_weight_family,
     verify_family,
 )
+from twinwalk import families
 from twinwalk.errors import IndexOutOfRangeError, InputError, WitnessFailedError
 from twinwalk.families import ExpectedWitness, FamilyInstance, _quarter_alpha
 from twinwalk.jsonio import family_from_obj
@@ -198,11 +203,18 @@ class TestCirculantTwinEdges:
             circulant_twin_edge_family(CirculantSpec(8, frozenset({1, 7})), [(0, 4)])
 
     def test_twin_condition_violation_rejected(self):
-        # mod-4 count holds but 8 - S != S
-        with pytest.raises(InputError, match="twin condition failed"):
+        # mod-4 count holds but 8 - S != S, so no antipodal pair is twins
+        with pytest.raises(InputError, match=r"\(0,8\) is not a twin pair"):
             circulant_twin_edge_family(
                 CirculantSpec(16, frozenset({1, 15, 3, 13})), [(0, 8)]
             )
+
+    def test_no_pairs_claim_nothing(self):
+        # the same connection set with no pairs is the bare circulant
+        spec = CirculantSpec(16, frozenset({1, 15, 3, 13}))
+        fi = circulant_twin_edge_family(spec, [])
+        assert fi.expected_witnesses == ()
+        assert fi.graph == build_circulant(spec)
 
     def test_non_antipodal_pair_rejected(self):
         with pytest.raises(InputError, match="is not antipodal"):
@@ -284,3 +296,17 @@ class TestVerifyFamily:
         fi = FamilyInstance(cycle_graph(4), (), "empty")
         with pytest.raises(InputError, match="tol must lie in"):
             verify_family(fi, tol=-1.0)
+
+
+def test_one_loop_perturbs_the_twins():
+    """The paper's operation has one site in families.py: only _perturb_twins
+    tests a pair for twins and perturbs its edge, and no builder reads the
+    circulant twin_condition as a second twin test."""
+    tree = ast.parse(Path(families.__file__).read_text())
+    readers = {(getattr(stmt, "name", None), node.id) for stmt in tree.body
+               if not isinstance(stmt, ast.ImportFrom) for node in ast.walk(stmt)
+               if isinstance(node, ast.Name) and node.id in {"is_twin_pair", "perturb_edge"}}
+    assert readers == {("_perturb_twins", "is_twin_pair"), ("_perturb_twins", "perturb_edge")}
+    imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                for alias in node.names}
+    assert "twin_condition" not in imported

@@ -11,8 +11,9 @@ verdict, whatever the verdict is.
 - The weighted complement c(J - I) - G, with c at least every weight, has
   Laplacian c(nI - J) - L(G), and J commutes with L(G); so at times t with
   c n t in 2 pi Z its fidelities are G's (Alvir et al., "Perfect state
-  transfer in Laplacian quantum walk", J. Algebraic Combin. 2016), and a
-  matching's complement first transfers when the matching does.
+  transfer in Laplacian quantum walk", J. Algebraic Combin. 2016): a
+  matching's complement first transfers when the matching does, and a
+  family's complement keeps its witnesses.
 - A pair inside one component of a disjoint union gets the component's
   verdict, scan and family witnesses; beside a component 10^4 times
   heavier or more it does not yet (a strict xfail).
@@ -201,6 +202,17 @@ def test_the_complement_keeps_the_scan_of_a_matching(m, data):
     assert want.kind is got.kind is TransferKind.LPST
     assert got.time == pytest.approx(want.time, rel=1e-12)
     assert abs(got.fidelity - want.fidelity) <= EPS
+
+
+@settings(max_examples=15, deadline=None)
+@given(families(), st.sampled_from([1.0, 2.0, 3.0]))
+def test_the_complement_keeps_the_family_witnesses(fi, c):
+    """Every family witness is at pi/2 on n = 4m or 16 vertices, so c n pi/2
+    lies in 2 pi Z for integer c, and every weight is 1 <= c."""
+    flipped = FamilyInstance(complement(fi.graph, c), fi.expected_witnesses, fi.provenance)
+    for got, want in zip(verify_family(flipped), verify_family(fi), strict=True):
+        assert (got.source, got.target, got.time) == (want.source, want.target, want.time)
+        assert_same_verdict(got, want)
 
 
 def test_k4m_minus_a_matching_is_the_complement_of_the_matching():

@@ -860,3 +860,13 @@ class TestKnownWrongVerdicts:
         "fidelity for q <= 10^6 is 0.861; its transfers lie near 2 pi k"))
     def test_k5_plus_root_two_reaches_pgst_in_a_scan(self):
         assert pgst_scan(self.K5_PLUS_ROOT_TWO, 0, 1).achieved(1e-3) is not None
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+        "CHANGES.md FOUND on pst_time_scan's NONE report: it picks among maxima of "
+        "equal fidelity by last-bit rounding, here 8 pi/3, 14 pi/3 and 8 pi/3"))
+    def test_a_none_scan_reports_its_first_maximum(self):
+        # on P3 from 0 to 2, |U(t)[2, 0]| first reaches its maximum sqrt(3)/2 at 2 pi/3
+        for t_max in (4 * PI, 5 * PI, 6 * PI):
+            r = pst_time_scan(path_graph(3), 0, 2, t_max)
+            assert r.kind is TransferKind.NONE
+            assert r.time == pytest.approx(2 * PI / 3, rel=1e-9)
